@@ -1,9 +1,10 @@
-"""Shared spectral machinery for reversible kernels.
+"""One per-Space memo, and the spectral machinery for reversible kernels.
 
-Reversibility makes S = D^{1/2} P D^{-1/2} symmetric (D = diag of the
+``memo`` keeps what is computed from a Space, which is immutable, for as long
+as the space lives; arrays in memoized results are read-only, as callers share
+them. Reversibility makes S = D^{1/2} P D^{-1/2} symmetric (D = diag of the
 normalized measure), so one symmetric eigendecomposition serves the heat
 semigroup, the spectral gap, ergodicity counts and curvature bounds alike.
-Decompositions are memoized per Space object; spaces are immutable.
 """
 
 from __future__ import annotations
@@ -12,57 +13,50 @@ import weakref
 
 import numpy as np
 
-from .core import Space
+from .core import Space, _readonly
 
-_CACHE: "weakref.WeakKeyDictionary[Space, tuple]" = weakref.WeakKeyDictionary()
+_MEMO: "weakref.WeakKeyDictionary[Space, dict]" = weakref.WeakKeyDictionary()
 
 # Eigenvalue-1 multiplicity threshold for the symmetrized kernel.
 KERNEL_DIM_TOL = 1e-10
 
 
-def symmetrized(space: Space) -> tuple[np.ndarray, np.ndarray]:
-    """Return (S, s) with S = diag(s) P diag(1/s) and s = sqrt(nu)."""
-    s = np.sqrt(space.nu)
-    S = (s[:, None] * space.kernel) / s[None, :]
-    return S, s
+def memo(space: Space, key, fn):
+    """fn() for this space and key, computed at most once while the space
+    lives. Check arguments before calling: a hit skips fn entirely."""
+    entries = _MEMO.setdefault(space, {})
+    if key not in entries:
+        entries[key] = fn()
+    return entries[key]
 
 
 def decomposition(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigendecomposition of the generator on L^2(nu).
+    """Eigendecomposition of the generator on L^2(nu), memoized and read-only.
 
     Returns (lam, U, s): eigenvalues of I - S in ascending order, the matching
-    orthonormal eigenvector columns of S, and s = sqrt(nu). Eigenvalues lie in
-    [0, 2] up to roundoff.
+    orthonormal eigenvector columns of S = diag(s) P diag(1/s), and
+    s = sqrt(nu). Eigenvalues lie in [0, 2] up to roundoff.
     """
-    hit = _CACHE.get(space)
-    if hit is not None:
-        return hit
-    S, s = symmetrized(space)
-    S = 0.5 * (S + S.T)  # scrub roundoff asymmetry before eigh
-    mu, U = np.linalg.eigh(S)
-    lam = (1.0 - mu)[::-1].copy()
-    U = U[:, ::-1].copy()
-    out = (lam, U, s)
-    _CACHE[space] = out
-    return out
+    def compute():
+        s = np.sqrt(space.nu)
+        S = (s[:, None] * space.kernel) / s[None, :]
+        S = 0.5 * (S + S.T)  # scrub roundoff asymmetry before eigh
+        mu, U = np.linalg.eigh(S)
+        return _readonly((1.0 - mu)[::-1]), _readonly(U[:, ::-1]), _readonly(s)
+
+    return memo(space, "decomposition", compute)
 
 
-def kernel_dimension(space: Space, tol: float = KERNEL_DIM_TOL) -> int:
+def kernel_dimension(space: Space) -> int:
     """Multiplicity of eigenvalue 1 of the symmetrized kernel (= dim ker of
     the generator)."""
     lam, _, _ = decomposition(space)
-    return int(np.count_nonzero(np.abs(lam) <= tol))
+    return int(np.count_nonzero(np.abs(lam) <= KERNEL_DIM_TOL))
 
 
 def heat_apply(space: Space, values: np.ndarray, t: float) -> np.ndarray:
-    """Apply the heat propagator at time t through the eigenbasis.
-
-    Accepts a vector or a matrix whose columns are fields.
-    """
+    """Apply the heat propagator at time t to a field through the eigenbasis."""
     lam, U, s = decomposition(space)
     decay = np.exp(-t * lam)
-    if values.ndim == 1:
-        w = U.T @ (s * values)
-        return (U @ (decay * w)) / s
-    w = U.T @ (s[:, None] * values)
-    return (U @ (decay[:, None] * w)) / s[:, None]
+    w = U.T @ (s * values)
+    return (U @ (decay * w)) / s

@@ -2,8 +2,8 @@
 
 Every subcommand prints one JSON document to stdout. Output is deterministic:
 keys are sorted and floats are rendered with 17 significant digits, so equal
-inputs give byte-identical reports regardless of thread count (timings are
-opt-in precisely because they would break that).
+inputs give byte-identical reports (timings are opt-in precisely because they
+would break that).
 
 Exit codes: 0 success, 1 structural error, 2 validation failure,
 3 hypothesis failure, 64 usage error.
@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 
@@ -82,13 +81,6 @@ def _load_field(space, path) -> ScalarField:
 def _parse_index_set(space, text):
     return [space.index(int(tok)) if tok.strip().lstrip("-").isdigit() else space.index(tok.strip())
             for tok in text.split(",") if tok.strip()]
-
-
-def _threads(args) -> int | None:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("MRWS_THREADS")
-    return int(env) if env else None
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +173,9 @@ def _cmd_curvature(args) -> int:
     be = {}
     for tok in (args.be.split(",") if args.be else []):
         tok = tok.strip()
-        n_param = math.inf if tok in ("inf", "Inf", "INF") else float(tok)
-        be[tok] = curvature.be_best_constant(space, n_param).k_best_global
+        be[tok] = curvature.be_best_constant(space, float(tok)).k_best_global  # float("inf") is inf
     policy = "all_pairs" if args.ollivier == "all" else "support_edges"
-    res = curvature.ollivier_global(space, policy=policy, threads=_threads(args))
+    res = curvature.ollivier_global(space, policy=policy)
     pairs = [[int(i), int(j), float(k)] for (i, j), k in sorted(res.kappa_pairs.items())]
     _emit({"be": be, "kappa_global": res.kappa_global, "kappa_pairs": pairs})
     return EXIT_OK
@@ -216,9 +207,10 @@ def _cmd_analyze(args) -> int:
 
     def clock(name, fn):
         t0 = time.perf_counter()
-        out = fn()
-        timings[name] = time.perf_counter() - t0
-        return out
+        try:
+            return fn()
+        finally:
+            timings[name] = time.perf_counter() - t0
 
     report = clock("validate", lambda: validate_space(space))
     if not report.ok:
@@ -235,11 +227,10 @@ def _cmd_analyze(args) -> int:
     be_ns = [tok.strip() for tok in args.be.split(",")] if args.be else ["2", "inf"]
     be = {}
     for tok in be_ns:
-        n_param = math.inf if tok.lower() == "inf" else float(tok)
-        be[tok] = clock(f"be_{tok}", lambda n=n_param: curvature.be_best_constant(space, n)).k_best_global
+        be[tok] = clock(f"be_{tok}", lambda t=tok: curvature.be_best_constant(space, float(t))).k_best_global
+    all_pairs = space.n <= curvature.ALL_PAIRS_LIMIT
     kappa = clock("ollivier", lambda: curvature.ollivier_global(
-        space, policy="all_pairs" if space.n <= 300 else "support_edges",
-        threads=_threads(args))).kappa_global
+        space, policy="all_pairs" if all_pairs else "support_edges")).kappa_global
 
     stats = transport.transport_stats(space)
     ratios = {}
@@ -255,7 +246,7 @@ def _cmd_analyze(args) -> int:
     # pointwise constant can be positive on a space of several blocks)
     gap, h = spect.gap, ch.upper
     checks = [h * h / 2.0 <= gap + 1e-8, gap <= 2.0 * ch.upper + 1e-8]
-    if math.isfinite(kappa) and kappa > 0:
+    if all_pairs and math.isfinite(kappa) and kappa > 0:  # the edge value only bounds kappa above
         checks.append(kappa <= gap + 1e-8)
     k_inf = be.get("inf")
     if erg.ergodic and k_inf is not None and math.isfinite(k_inf) and k_inf > 0:
@@ -351,7 +342,6 @@ def _build_parser() -> _Parser:
     cu.add_argument("space")
     cu.add_argument("--be", default="2,inf")
     cu.add_argument("--ollivier", choices=("all", "edges"), default="all")
-    cu.add_argument("--threads", type=int, default=None)
     cu.set_defaults(fn=_cmd_curvature)
 
     t = sub.add_parser("transport", help="optimal transport between two fields")
@@ -371,7 +361,6 @@ def _build_parser() -> _Parser:
     a.add_argument("space")
     a.add_argument("--be", default=None)
     a.add_argument("--trials", type=int, default=50)
-    a.add_argument("--threads", type=int, default=None)
     a.add_argument("--timings", action="store_true")
     a.set_defaults(fn=_cmd_analyze)
 

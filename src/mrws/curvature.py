@@ -6,12 +6,13 @@ semigroup estimates those bounds imply.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .core import ScalarField, Space, as_values
+from . import _linalg
+from .core import ScalarField, Space, _readonly, as_values
 from .heat import heat_evolve
 from .transport import wasserstein
 
@@ -32,6 +33,9 @@ __all__ = [
 # Rank threshold for the squared-gradient form and PSD slack for feasibility.
 FORM_RANK_TOL = 1e-12
 PSD_TOL = 1e-10
+
+# Largest space on which the all-pairs curvature (n(n-1)/2 transport LPs) runs.
+ALL_PAIRS_LIMIT = 300
 
 
 def gamma(space: Space, f, g=None) -> ScalarField:
@@ -111,7 +115,7 @@ def point_forms(space: Space) -> PointQuadraticForms:
 class BEResult:
     n_param: float
     k_best_global: float
-    k_best_per_point: np.ndarray
+    k_best_per_point: np.ndarray  # read-only
     feasible: bool
 
 
@@ -125,22 +129,27 @@ def be_best_constant(space: Space, n_param: float) -> BEResult:
     zero gradient must already be nonnegative for A (else no finite K works,
     reported as -inf and feasible=False), and their coupling to the rest
     tightens the constant. The reduced problem is an ordinary symmetric
-    generalized eigenvalue problem.
+    generalized eigenvalue problem. Memoized per space and float(n_param).
     """
     if not n_param > 1:
         raise ValueError("dimension parameter must satisfy n > 1 (inf allowed)")
-    P = space.kernel
-    P2 = P @ P
-    PL = P2 - P
-    n = space.n
-    ks = np.empty(n)
-    for x in range(n):
-        B, M2, lx = _forms_at(space, x, P2, PL)
-        A = M2 if math.isinf(n_param) else M2 - np.outer(lx, lx) / n_param
-        ks[x] = _pencil_supremum(A, B)
-    finite = np.all(ks > -np.inf)
-    k_global = float(ks.min()) if n else math.inf
-    return BEResult(float(n_param), k_global, ks, bool(finite))
+    n_param = float(n_param)
+
+    def compute():
+        P = space.kernel
+        P2 = P @ P
+        PL = P2 - P
+        n = space.n
+        ks = np.empty(n)
+        for x in range(n):
+            B, M2, lx = _forms_at(space, x, P2, PL)
+            A = M2 if math.isinf(n_param) else M2 - np.outer(lx, lx) / n_param
+            ks[x] = _pencil_supremum(A, B)
+        finite = np.all(ks > -np.inf)
+        k_global = float(ks.min()) if n else math.inf
+        return BEResult(n_param, k_global, _readonly(ks), bool(finite))
+
+    return _linalg.memo(space, ("be", n_param), compute)
 
 
 def _pencil_supremum(A: np.ndarray, B: np.ndarray) -> float:
@@ -184,42 +193,37 @@ def ollivier_kappa(space: Space, x, y) -> float:
 
 @dataclass(frozen=True)
 class OllivierResult:
-    kappa_pairs: dict  # (i, j) with i < j -> kappa
+    kappa_pairs: MappingProxyType  # read-only, (i, j) with i < j -> kappa
     kappa_global: float
     pair_policy: str
 
 
-def ollivier_global(space: Space, policy: str = "all_pairs", threads: int | None = None,
-                    max_all_pairs: int = 300) -> OllivierResult:
+def ollivier_global(space: Space, policy: str = "all_pairs") -> OllivierResult:
     """Infimum of the pairwise curvature over a pair family.
 
-    ``all_pairs`` is the faithful global value (guarded to n <= 300);
-    ``support_edges`` restricts to kernel-adjacent pairs and is only an upper
-    bound on the global infimum, reported for diagnostics.
+    ``all_pairs`` is the faithful global value (guarded to n <=
+    ALL_PAIRS_LIMIT); ``support_edges`` restricts to kernel-adjacent pairs and
+    is only an upper bound on the global infimum, reported for diagnostics.
+    Memoized per space and policy.
     """
-    n = space.n
-    if policy == "all_pairs":
-        if n > max_all_pairs:
-            raise ValueError(f"all_pairs is limited to n <= {max_all_pairs}; "
-                             "use policy='support_edges'")
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    elif policy == "support_edges":
-        adj = (space.kernel > 0) | (space.kernel.T > 0)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if adj[i, j]]
-    else:
+    if policy not in ("all_pairs", "support_edges"):
         raise ValueError("policy must be 'all_pairs' or 'support_edges'")
+    n = space.n
+    if policy == "all_pairs" and n > ALL_PAIRS_LIMIT:
+        raise ValueError(f"all_pairs is limited to n <= {ALL_PAIRS_LIMIT}; "
+                         "use policy='support_edges'")
 
-    def one(pair):
-        return ollivier_kappa(space, pair[0], pair[1])
+    def compute():
+        if policy == "all_pairs":
+            adj = np.ones((n, n), dtype=bool)
+        else:
+            adj = (space.kernel > 0) | (space.kernel.T > 0)
+        kappa_pairs = {(i, j): ollivier_kappa(space, i, j)
+                       for i in range(n) for j in range(i + 1, n) if adj[i, j]}
+        kappa_global = min(kappa_pairs.values(), default=math.inf)
+        return OllivierResult(MappingProxyType(kappa_pairs), float(kappa_global), policy)
 
-    if threads and threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, pairs))
-    else:
-        values = [one(p) for p in pairs]
-    kappa_pairs = dict(zip(pairs, values))
-    kappa_global = min(values) if values else math.inf
-    return OllivierResult(kappa_pairs, float(kappa_global), policy)
+    return _linalg.memo(space, ("ollivier", policy), compute)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,11 @@ __all__ = ["HeatTrajectory", "apply_laplacian", "heat_evolve", "heat_trajectory"
 
 METHODS = ("series", "spectral", "rk4")
 
+# Longest series step, as its prefactor e^{-t} underflows past t ~ 745. Longer
+# times take equal steps, each truncated within tol/steps; T_t is a sup-norm
+# contraction, so the truncation errors add up to less than tol.
+SERIES_STEP = 512.0
+
 
 def apply_laplacian(space: Space, f) -> ScalarField:
     """Generator of the walk: (Lf)(x) = sum_y k(x,y) (f(y) - f(x)).
@@ -38,8 +43,8 @@ def heat_evolve(space: Space, u0, t: float, method: str = "series", tol: float =
     blocks, which the spectral route cannot guarantee at roundoff level.
     """
     v = as_values(space, u0)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < np.inf:  # also rejects NaN, on which the series would never stop
+        raise ValueError("t must be finite and >= 0")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if method not in METHODS:
@@ -47,7 +52,10 @@ def heat_evolve(space: Space, u0, t: float, method: str = "series", tol: float =
     if t == 0.0:
         return ScalarField(space, v.copy())
     if method == "series":
-        out = _evolve_series(space.kernel, v, float(t), tol)
+        steps = int(np.ceil(t / SERIES_STEP))
+        out = v
+        for _ in range(steps):
+            out = _evolve_series(space.kernel, out, t / steps, tol / steps)
     elif method == "spectral":
         out = _linalg.heat_apply(space, v, float(t))
     else:
@@ -56,8 +64,6 @@ def heat_evolve(space: Space, u0, t: float, method: str = "series", tol: float =
 
 
 def _evolve_series(P: np.ndarray, u0: np.ndarray, t: float, tol: float) -> np.ndarray:
-    if t == 0.0:
-        return u0.copy()
     sup = float(np.abs(u0).max())
     coef = np.exp(-t)  # e^{-t} t^k / k!, folded in up front to avoid overflow
     acc = coef * u0
@@ -77,8 +83,6 @@ def _evolve_series(P: np.ndarray, u0: np.ndarray, t: float, tol: float) -> np.nd
 
 
 def _evolve_rk4(P: np.ndarray, u0: np.ndarray, t: float) -> np.ndarray:
-    if t == 0.0:
-        return u0.copy()
     # step small enough that the O(h^4) global error sits well below 1e-9
     h_target = min(0.005, t / 10.0)
     steps = max(1, int(np.ceil(t / h_target)))

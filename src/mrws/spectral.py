@@ -48,7 +48,7 @@ def variance(space: Space, f) -> float:
 @dataclass(frozen=True)
 class SpectralReport:
     gap: float
-    spectrum: np.ndarray  # ascending eigenvalues of the generator on L^2(nu)
+    spectrum: np.ndarray  # ascending eigenvalues of the generator on L^2(nu), read-only
     gap_ibe: float | None  # energy-vs-squared-generator constant; ergodic only
     decay_fit: float | None  # measured exponential rate, diagnostics only
     kernel_dim: int
@@ -62,7 +62,7 @@ def spectral_gap(space: Space, fit_decay: bool = False) -> SpectralReport:
     equal the smallest nonzero eigenvalue); it is reported only in that case.
     """
     lam, _, _ = _linalg.decomposition(space)
-    kernel_dim = int(np.count_nonzero(np.abs(lam) <= _linalg.KERNEL_DIM_TOL))
+    kernel_dim = _linalg.kernel_dimension(space)
     if kernel_dim == 1 and space.n > 1:
         gap = float(lam[1])
         gap_ibe = float(lam[lam > _linalg.KERNEL_DIM_TOL].min())

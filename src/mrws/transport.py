@@ -187,9 +187,11 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
 
     ti_be        W1(f nu, nu) <= sqrt(2 theta_m)/K * sqrt(I(f))   for the best
                  curvature-dimension constant K = K(infinity) > 0.
-    ti_ollivier  same with K replaced by the coarse Ricci curvature kappa > 0.
+    ti_ollivier  same with K replaced by the coarse Ricci curvature kappa > 0;
+                 needs the all-pairs kappa, so n <= curvature.ALL_PAIRS_LIMIT.
     te           W1(f nu, nu) <= sqrt( sqrt(2 theta_m)/K_TI * Ent(f) ) where
-                 1/K_TI is the best available transport-information constant.
+                 1/K_TI is the best available transport-information constant
+                 (from K(infinity) alone above the all-pairs limit).
 
     A ratio above 1 is a counterexample. The curvature hypotheses are local,
     so they can hold on a space with several invariant blocks even though the
@@ -201,7 +203,7 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     from .connectivity import invariant_blocks
-    from .curvature import be_best_constant, ollivier_global  # deferred: cyclic module pair
+    from .curvature import ALL_PAIRS_LIMIT, be_best_constant, ollivier_global  # deferred: cyclic module pair
 
     theta_m = transport_stats(space).theta_m
     root2theta = float(np.sqrt(2.0 * theta_m))
@@ -214,7 +216,10 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
             k_be = float(k)
         elif kind == "ti_be":
             raise HypothesisError("curvature-dimension constant K(inf) is not positive")
-    if kind in ("ti_ollivier", "te"):
+    if kind == "ti_ollivier" and space.n > ALL_PAIRS_LIMIT:
+        raise HypothesisError("coarse Ricci curvature needs all pairs, "
+                              f"limited to n <= {ALL_PAIRS_LIMIT}")
+    if kind in ("ti_ollivier", "te") and space.n <= ALL_PAIRS_LIMIT:
         k = ollivier_global(space).kappa_global
         if np.isfinite(k) and k > 0:
             kappa = float(k)
@@ -237,12 +242,10 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
     worst = 0.0
     for f in densities:
         lhs = wasserstein(space, f * nu, nu, p=1).cost
-        if kind == "ti_be":
-            rhs = root2theta / k_be * np.sqrt(divergences(space, f).fisher)
-        elif kind == "ti_ollivier":
-            rhs = root2theta / kappa * np.sqrt(divergences(space, f).fisher)
-        else:
+        if kind == "te":
             rhs = np.sqrt(root2theta / k_ti * max(divergences(space, f).entropy, 0.0))
+        else:
+            rhs = root2theta / (k_be or kappa) * np.sqrt(divergences(space, f).fisher)
         if rhs == 0.0:
             ratio = 0.0 if lhs <= 1e-12 else np.inf
         else:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mrws import space_to_json
-from mrws.builders import p3 as make_p3, two_block
+from mrws import curvature
+from mrws.builders import k3 as make_k3, p3 as make_p3, two_block
 from mrws.cli import main
 
 
@@ -148,6 +149,23 @@ def test_analyze_p3(tmp_path, capsys):
     assert obj["provenance"]["timings_s"] is None
 
 
+def test_analyze_timings_include_skipped_verifiers(tmp_path, capsys):
+    path = write_space(tmp_path, make_p3())
+    code, obj = run(capsys, ["analyze", path, "--trials", "5", "--timings"])
+    assert code == 0
+    assert "skipped" in obj["transport"]["max_ratios"]["ti_ollivier"]  # kappa = 0 on P3
+    assert {"verify_ti_be", "verify_ti_ollivier", "verify_te"} <= set(obj["provenance"]["timings_s"])
+
+
+def test_analyze_above_all_pairs_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(curvature, "ALL_PAIRS_LIMIT", 2)
+    path = write_space(tmp_path, make_k3())  # kappa = 1/2, but only support edges may run
+    code, obj = run(capsys, ["analyze", path, "--trials", "5"])
+    assert code == 0
+    assert "all pairs" in obj["transport"]["max_ratios"]["ti_ollivier"]["skipped"]
+    assert obj["transport"]["max_ratios"]["te"] <= 1.0 + 1e-9  # from K(inf) alone
+
+
 def test_analyze_two_block(tmp_path, capsys):
     path = write_space(tmp_path, two_block(0.1))
     code, obj = run(capsys, ["analyze", path, "--trials", "5"])
@@ -174,7 +192,7 @@ def test_analyze_deterministic_bytes(tmp_path, capsys):
     path = write_space(tmp_path, make_p3())
     main(["analyze", path, "--trials", "10"])
     first = capsys.readouterr().out
-    main(["analyze", path, "--trials", "10", "--threads", "4"])
+    main(["analyze", path, "--trials", "10"])
     second = capsys.readouterr().out
     assert first == second
 

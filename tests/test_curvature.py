@@ -1,9 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from mrws import (
+    Space,
     apply_laplacian,
     be_best_constant,
     dirichlet_energy,
@@ -17,8 +20,10 @@ from mrws import (
     point_forms,
     propagate_measure,
     spectral_gap,
+    verify_transport_inequality,
     wasserstein,
 )
+from mrws import _linalg, curvature
 from mrws.builders import cycle, lazy_cycle
 
 import _oracles
@@ -199,18 +204,85 @@ def test_support_edges_policy_is_upper_family(k3):
     assert set(edges.kappa_pairs) <= set(full.kappa_pairs)
 
 
-def test_all_pairs_guard():
+def test_all_pairs_guard(monkeypatch):
     from mrws.builders import random_reversible_space
 
     sp = random_reversible_space(12, np.random.default_rng(0))
+    monkeypatch.setattr(curvature, "ALL_PAIRS_LIMIT", 10)
     with pytest.raises(ValueError):
-        ollivier_global(sp, policy="all_pairs", max_all_pairs=10)
+        ollivier_global(sp, policy="all_pairs")
 
 
-def test_threads_do_not_change_result(k3):
-    a = ollivier_global(k3, threads=None)
-    b = ollivier_global(k3, threads=4)
-    assert a.kappa_pairs == b.kappa_pairs
+# ---------------------------------------------------------------------------
+# per-space memo
+
+
+def test_memo_computes_kappa_once_per_space(k3, monkeypatch):
+    calls = []
+    real = curvature.ollivier_kappa
+    monkeypatch.setattr(curvature, "ollivier_kappa", lambda *a: calls.append(a) or real(*a))
+    ollivier_global(k3)
+    verify_transport_inequality(k3, "te", 5)
+    assert len(calls) == 3  # one per pair of K3, not once per caller
+
+
+def test_memo_keys_normalize_defaults_and_numbers(k3):
+    assert ollivier_global(k3) is ollivier_global(k3, policy="all_pairs")
+    assert ollivier_global(k3) is not ollivier_global(k3, policy="support_edges")
+    assert be_best_constant(k3, 2) is be_best_constant(k3, 2.0)
+    assert be_best_constant(k3, 2) is not be_best_constant(k3, np.inf)
+
+
+def test_memoized_results_match_a_fresh_space(rng):
+    for sp in random_spaces(6, rng):
+        for _ in range(2):  # the second round is served from the memo
+            warm_gap = spectral_gap(sp)
+            warm_be = [be_best_constant(sp, n) for n in (2, np.inf)]
+            warm_kappa = ollivier_global(sp)
+        fresh = Space(sp.labels, sp.metric, sp.kernel, sp.measure, sp.metric_sentinel)
+        np.testing.assert_array_equal(warm_gap.spectrum, spectral_gap(fresh).spectrum)
+        for be, n in zip(warm_be, (2, np.inf)):
+            other = be_best_constant(fresh, n)
+            np.testing.assert_array_equal(be.k_best_per_point, other.k_best_per_point)
+            assert (be.k_best_global, be.feasible) == (other.k_best_global, other.feasible)
+        assert warm_kappa == ollivier_global(fresh)
+
+
+def test_memo_still_checks_arguments(monkeypatch):
+    sp = cycle(6)
+    be_best_constant(sp, 2.0)
+    ollivier_global(sp)
+    with pytest.raises(ValueError):
+        be_best_constant(sp, 1.0)
+    with pytest.raises(ValueError):
+        ollivier_global(sp, policy="bogus")
+    monkeypatch.setattr(curvature, "ALL_PAIRS_LIMIT", 5)
+    with pytest.raises(ValueError):
+        ollivier_global(sp)
+
+
+def test_memoized_results_are_read_only(k3):
+    with pytest.raises(ValueError):
+        be_best_constant(k3, np.inf).k_best_per_point[0] = 42.0
+    with pytest.raises(TypeError):
+        ollivier_global(k3).kappa_pairs[(0, 1)] = 42.0
+    assert be_best_constant(k3, np.inf).k_best_per_point[0] != 42.0
+    assert ollivier_global(k3).kappa_global == pytest.approx(0.5, abs=1e-12)
+
+
+def test_memo_entry_dies_with_its_space():
+    sp = cycle(6)
+    be_best_constant(sp, 2.0)
+    ollivier_global(sp)
+    spectral_gap(sp)
+    assert len(_linalg._MEMO[sp]) == 3  # one entry per result, all on this space
+    ref = weakref.ref(sp)
+    gc.collect()
+    before = len(_linalg._MEMO)
+    del sp
+    gc.collect()
+    assert ref() is None
+    assert len(_linalg._MEMO) == before - 1
 
 
 def test_positive_curvature_implies_ergodic(rng):

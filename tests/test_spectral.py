@@ -81,6 +81,12 @@ def test_p3_spectrum(p3):
     assert rep.kernel_dim == 1
 
 
+def test_cached_spectrum_is_read_only(p3):
+    with pytest.raises(ValueError):
+        spectral_gap(p3).spectrum[1] = 42.0
+    assert spectral_gap(p3).gap == pytest.approx(1.0, abs=1e-12)
+
+
 def test_two_block_gap_zero(two_block):
     rep = spectral_gap(two_block)
     assert rep.gap == 0.0

@@ -10,7 +10,7 @@ from mrws import (
     verify_transport_inequality,
     wasserstein,
 )
-from mrws.builders import two_block_halves
+from mrws.builders import grid_kernel_neumann, two_block_halves
 
 import _oracles
 from conftest import random_spaces
@@ -205,6 +205,13 @@ def test_hypothesis_failures_are_reported(p3, two_block):
         verify_transport_inequality(p3, "ti_ollivier", trials=1)  # kappa = 0 on the path
     with pytest.raises(HypothesisError, match="Ricci"):
         verify_transport_inequality(two_block, "ti_ollivier", trials=1)
+
+
+def test_ti_ollivier_skipped_above_all_pairs_limit():
+    grid = grid_kernel_neumann([(0.0, 1.0)], h=1 / 300, radius=0.005)
+    assert grid.n == 301  # one more than ALL_PAIRS_LIMIT
+    with pytest.raises(HypothesisError, match="all pairs"):
+        verify_transport_inequality(grid, "ti_ollivier", trials=1)
 
 
 def test_verifier_exposes_failure_on_disconnected_space(two_block):
