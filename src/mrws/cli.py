@@ -228,9 +228,11 @@ def _cmd_analyze(args) -> int:
     be = {}
     for tok in be_ns:
         be[tok] = clock(f"be_{tok}", lambda t=tok: curvature.be_best_constant(space, float(t))).k_best_global
-    all_pairs = space.n <= curvature.ALL_PAIRS_LIMIT
-    kappa = clock("ollivier", lambda: curvature.ollivier_global(
-        space, policy="all_pairs" if all_pairs else "support_edges")).kappa_global
+    kappa = clock("ollivier", lambda: curvature.kappa_global(space))
+    curv = {"kappa_global": kappa, "be": be}
+    if kappa is None:  # non-geodesic metric above the all-pairs limit: edges bound kappa above
+        curv["kappa_upper_bound"] = clock("ollivier_edges", lambda: curvature.ollivier_global(
+            space, "support_edges")).kappa_global
 
     stats = transport.transport_stats(space)
     ratios = {}
@@ -246,7 +248,7 @@ def _cmd_analyze(args) -> int:
     # pointwise constant can be positive on a space of several blocks)
     gap, h = spect.gap, ch.upper
     checks = [h * h / 2.0 <= gap + 1e-8, gap <= 2.0 * ch.upper + 1e-8]
-    if all_pairs and math.isfinite(kappa) and kappa > 0:  # the edge value only bounds kappa above
+    if kappa is not None and math.isfinite(kappa) and kappa > 0:
         checks.append(kappa <= gap + 1e-8)
     k_inf = be.get("inf")
     if erg.ergodic and k_inf is not None and math.isfinite(k_inf) and k_inf > 0:
@@ -272,7 +274,7 @@ def _cmd_analyze(args) -> int:
             "decay_fit": spect.decay_fit,
         },
         "cheeger": {"lower": ch.lower, "upper": ch.upper, "exact": ch.exact},
-        "curvature": {"kappa_global": kappa, "be": be},
+        "curvature": curv,
         "transport": {"theta_m": stats.theta_m, "max_ratios": ratios},
         "provenance": {
             "tool_version": __version__,

@@ -59,7 +59,7 @@ class Space:
 
     Parameters
     ----------
-    labels : sequence of point identifiers (length n)
+    labels : sequence of distinct point identifiers (length n)
     metric : (n, n) nonnegative distance matrix
     kernel : (n, n) row-stochastic matrix; row i is the jump law from i
     measure : (n,) strictly positive stationary weights (stored unnormalized)
@@ -87,6 +87,12 @@ class Space:
             raise StructuralError(f"kernel must be {n}x{n}, got {kernel.shape}")
         if measure.shape != (n,):
             raise StructuralError(f"measure must have length {n}, got {measure.shape}")
+        try:
+            distinct = len(set(labels)) == n
+        except TypeError:  # unhashable labels, e.g. lists read from JSON
+            distinct = all(labels.index(lab) == i for i, lab in enumerate(labels))
+        if not distinct:
+            raise StructuralError("labels must be distinct")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "metric", metric)
         object.__setattr__(self, "kernel", kernel)
@@ -281,8 +287,9 @@ def validate_space(space: Space) -> ValidationReport:
     checks.append(AxiomCheck("reversibility", rev, TOL_REVERSIBILITY * total, rev <= TOL_REVERSIBILITY * total))
 
     numin = float(nu.min()) if space.n else 1.0
-    checks.append(AxiomCheck("measure_positive", max(0.0, -numin), 0.0, numin > 0,
-                             detail="min measure %.3g" % numin))
+    finite = bool(np.isfinite(nu).all())
+    checks.append(AxiomCheck("measure_positive", max(0.0, -numin) if finite else np.inf, 0.0,
+                             finite and numin > 0, detail="min measure %.3g" % numin))
 
     return ValidationReport(checks)
 

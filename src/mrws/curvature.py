@@ -26,6 +26,8 @@ __all__ = [
     "OllivierResult",
     "ollivier_kappa",
     "ollivier_global",
+    "geodesic",
+    "kappa_global",
     "gradient_estimate_check",
     "lipschitz_contraction_check",
 ]
@@ -36,6 +38,9 @@ PSD_TOL = 1e-10
 
 # Largest space on which the all-pairs curvature (n(n-1)/2 transport LPs) runs.
 ALL_PAIRS_LIMIT = 300
+# Relative slack within which the metric must equal its path metric over the
+# support graph for the support edges to give the global curvature.
+GEODESIC_RTOL = 1e-12
 
 
 def gamma(space: Space, f, g=None) -> ScalarField:
@@ -202,9 +207,10 @@ def ollivier_global(space: Space, policy: str = "all_pairs") -> OllivierResult:
     """Infimum of the pairwise curvature over a pair family.
 
     ``all_pairs`` is the faithful global value (guarded to n <=
-    ALL_PAIRS_LIMIT); ``support_edges`` restricts to kernel-adjacent pairs and
-    is only an upper bound on the global infimum, reported for diagnostics.
-    Memoized per space and policy.
+    ALL_PAIRS_LIMIT); ``support_edges`` restricts to kernel-adjacent pairs. The
+    edge infimum bounds the global one from above, and is exact on geodesic
+    metrics (see ``geodesic``). The all-pairs family reuses the edge results,
+    so no pair is solved twice. Memoized per space and policy.
     """
     if policy not in ("all_pairs", "support_edges"):
         raise ValueError("policy must be 'all_pairs' or 'support_edges'")
@@ -215,15 +221,53 @@ def ollivier_global(space: Space, policy: str = "all_pairs") -> OllivierResult:
 
     def compute():
         if policy == "all_pairs":
-            adj = np.ones((n, n), dtype=bool)
+            edges = ollivier_global(space, "support_edges").kappa_pairs
+            kappa_pairs = {(i, j): edges[i, j] if (i, j) in edges else ollivier_kappa(space, i, j)
+                           for i in range(n) for j in range(i + 1, n)}
         else:
             adj = (space.kernel > 0) | (space.kernel.T > 0)
-        kappa_pairs = {(i, j): ollivier_kappa(space, i, j)
-                       for i in range(n) for j in range(i + 1, n) if adj[i, j]}
-        kappa_global = min(kappa_pairs.values(), default=math.inf)
-        return OllivierResult(MappingProxyType(kappa_pairs), float(kappa_global), policy)
+            kappa_pairs = {(i, j): ollivier_kappa(space, i, j)
+                           for i in range(n) for j in range(i + 1, n) if adj[i, j]}
+        return OllivierResult(MappingProxyType(kappa_pairs),
+                              float(min(kappa_pairs.values(), default=math.inf)), policy)
 
     return _linalg.memo(space, ("ollivier", policy), compute)
+
+
+def geodesic(space: Space) -> bool:
+    """Whether the metric is the path metric of the kernel's support graph.
+
+    Support edges are weighted by the metric itself, and every shortest-path
+    distance must equal the metric within a relative GEODESIC_RTOL (pairs the
+    support graph does not join fail). Then W1 is subadditive along a
+    geodesic of support edges, so the curvature of every pair is at least the
+    least edge curvature (Ollivier, JFA 2009, Prop. 19): the support-edge
+    infimum is the global one, with an error of at most GEODESIC_RTOL *
+    (1 - kappa) beyond the roundoff of the pair LPs. Memoized per space.
+    """
+    def compute():
+        from scipy.sparse.csgraph import shortest_path
+
+        d = space.metric
+        edges = ((space.kernel > 0) | (space.kernel.T > 0)) & (d > 0)
+        dist = shortest_path(np.where(edges, d, 0.0), method="D", directed=False)
+        return bool(np.all(np.abs(dist - d) <= GEODESIC_RTOL * d))
+
+    return _linalg.memo(space, "geodesic", compute)
+
+
+def kappa_global(space: Space) -> float | None:
+    """Global coarse Ricci curvature, from the support edges alone when the
+    metric is geodesic and from all pairs otherwise.
+
+    None on a non-geodesic metric above ALL_PAIRS_LIMIT, where the exact
+    value is out of reach and the edge infimum only bounds it from above.
+    """
+    if geodesic(space):
+        return ollivier_global(space, "support_edges").kappa_global
+    if space.n > ALL_PAIRS_LIMIT:
+        return None
+    return ollivier_global(space, "all_pairs").kappa_global
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +305,17 @@ def lipschitz_contraction_check(space: Space, samples: int, times=(0.5, 2.0, 8.0
                                 rng=None, kappa: float | None = None) -> float:
     """Largest ratio of Lip(T_t f) to e^{-t kappa} Lip(f) over random fields.
 
-    With kappa the global coarse Ricci curvature the ratio stays at or below
-    one; constant fields (Lipschitz seminorm zero) are skipped.
+    With kappa the global coarse Ricci curvature (``kappa_global`` by
+    default) the ratio stays at or below one; constant fields (Lipschitz
+    seminorm zero) are skipped.
     """
     if space.n < 2:
         raise ValueError("needs at least two points")
     if kappa is None:
-        kappa = ollivier_global(space).kappa_global
+        kappa = kappa_global(space)
+        if kappa is None:
+            raise ValueError(f"the global curvature of a non-geodesic metric needs all pairs, "
+                             f"limited to n <= {ALL_PAIRS_LIMIT}; pass kappa")
     rng = np.random.default_rng(rng)
     worst = 0.0
     for _ in range(samples):

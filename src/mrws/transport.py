@@ -73,17 +73,9 @@ def wasserstein(space: Space, mu, nu2, p: int = 1) -> TransportPlan:
     C = cost_matrix[np.ix_(I, J)]
     ni, nj = len(I), len(J)
 
-    rows, cols = [], []
-    for r in range(ni):
-        rows.extend([r] * nj)
-        cols.extend(range(r * nj, (r + 1) * nj))
-    for c in range(nj):
-        rows.extend([ni + c] * ni)
-        cols.extend(range(c, ni * nj, nj))
-    A_eq = coo_matrix((np.ones(2 * ni * nj), (rows, cols)), shape=(ni + nj, ni * nj))
     b_eq = np.concatenate([a[I], b[J]])
-
-    res = linprog(C.reshape(-1), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(C.reshape(-1), A_eq=_marginal_constraints(ni, nj), b_eq=b_eq,
+                  bounds=(0, None), method="highs")
     if res.status != 0:
         raise RuntimeError(f"transport LP failed: {res.message}")
     objective = float(res.fun)
@@ -107,6 +99,16 @@ def wasserstein(space: Space, mu, nu2, p: int = 1) -> TransportPlan:
     coupling[np.ix_(I, J)] = np.maximum(res.x.reshape(ni, nj), 0.0)
     wp = objective if p == 1 else float(np.sqrt(max(objective, 0.0)))
     return TransportPlan(coupling, wp, u_full, v_full, gap, p)
+
+
+def _marginal_constraints(ni: int, nj: int) -> coo_matrix:
+    """Row and column sums of a row-major ni x nj coupling, as one (ni + nj)
+    x ni*nj 0/1 matrix: row r sums entries r*nj .. r*nj + nj-1, row ni + c
+    sums entries c, c + nj, ..., c + (ni-1)*nj."""
+    rows = np.concatenate([np.repeat(np.arange(ni), nj), np.repeat(np.arange(ni, ni + nj), ni)])
+    cols = np.concatenate([np.arange(ni * nj),
+                           np.tile(np.arange(ni) * nj, nj) + np.repeat(np.arange(nj), ni)])
+    return coo_matrix((np.ones(2 * ni * nj), (rows, cols)), shape=(ni + nj, ni * nj))
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +189,12 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
 
     ti_be        W1(f nu, nu) <= sqrt(2 theta_m)/K * sqrt(I(f))   for the best
                  curvature-dimension constant K = K(infinity) > 0.
-    ti_ollivier  same with K replaced by the coarse Ricci curvature kappa > 0;
-                 needs the all-pairs kappa, so n <= curvature.ALL_PAIRS_LIMIT.
+    ti_ollivier  same with K replaced by the coarse Ricci curvature kappa > 0
+                 (``curvature.kappa_global``; on a non-geodesic metric it needs
+                 all pairs, so n <= curvature.ALL_PAIRS_LIMIT).
     te           W1(f nu, nu) <= sqrt( sqrt(2 theta_m)/K_TI * Ent(f) ) where
                  1/K_TI is the best available transport-information constant
-                 (from K(infinity) alone above the all-pairs limit).
+                 (from K(infinity) alone where kappa is out of reach).
 
     A ratio above 1 is a counterexample. The curvature hypotheses are local,
     so they can hold on a space with several invariant blocks even though the
@@ -203,7 +206,7 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     from .connectivity import invariant_blocks
-    from .curvature import ALL_PAIRS_LIMIT, be_best_constant, ollivier_global  # deferred: cyclic module pair
+    from .curvature import ALL_PAIRS_LIMIT, be_best_constant, kappa_global  # deferred: cyclic module pair
 
     theta_m = transport_stats(space).theta_m
     root2theta = float(np.sqrt(2.0 * theta_m))
@@ -216,12 +219,13 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
             k_be = float(k)
         elif kind == "ti_be":
             raise HypothesisError("curvature-dimension constant K(inf) is not positive")
-    if kind == "ti_ollivier" and space.n > ALL_PAIRS_LIMIT:
-        raise HypothesisError("coarse Ricci curvature needs all pairs, "
-                              f"limited to n <= {ALL_PAIRS_LIMIT}")
-    if kind in ("ti_ollivier", "te") and space.n <= ALL_PAIRS_LIMIT:
-        k = ollivier_global(space).kappa_global
-        if np.isfinite(k) and k > 0:
+    if kind in ("ti_ollivier", "te"):
+        k = kappa_global(space)
+        if k is None:
+            if kind == "ti_ollivier":
+                raise HypothesisError("coarse Ricci curvature of a non-geodesic metric needs "
+                                      f"all pairs, limited to n <= {ALL_PAIRS_LIMIT}")
+        elif np.isfinite(k) and k > 0:
             kappa = float(k)
         elif kind == "ti_ollivier":
             raise HypothesisError("coarse Ricci curvature is not positive")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mrws import space_to_json
+from mrws import Space, space_to_json
 from mrws import curvature
 from mrws.builders import k3 as make_k3, p3 as make_p3, two_block
 from mrws.cli import main
@@ -159,11 +159,26 @@ def test_analyze_timings_include_skipped_verifiers(tmp_path, capsys):
 
 def test_analyze_above_all_pairs_limit(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(curvature, "ALL_PAIRS_LIMIT", 2)
-    path = write_space(tmp_path, make_k3())  # kappa = 1/2, but only support edges may run
+    p3 = make_p3()
+    d = p3.metric.copy()
+    d[0, 2] = d[2, 0] = 1.5  # shorter than the path a-b-c: not geodesic
+    path = write_space(tmp_path, Space(p3.labels, d, p3.kernel, p3.measure))
     code, obj = run(capsys, ["analyze", path, "--trials", "5"])
     assert code == 0
+    assert obj["curvature"]["kappa_global"] is None
+    assert obj["curvature"]["kappa_upper_bound"] == pytest.approx(0.0, abs=1e-12)
     assert "all pairs" in obj["transport"]["max_ratios"]["ti_ollivier"]["skipped"]
     assert obj["transport"]["max_ratios"]["te"] <= 1.0 + 1e-9  # from K(inf) alone
+
+
+def test_analyze_above_all_pairs_limit_on_geodesic_metric(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(curvature, "ALL_PAIRS_LIMIT", 2)
+    path = write_space(tmp_path, make_k3())  # support edges give the exact kappa
+    code, obj = run(capsys, ["analyze", path, "--trials", "5"])
+    assert code == 0
+    assert obj["curvature"]["kappa_global"] == pytest.approx(0.5, abs=1e-12)
+    assert "kappa_upper_bound" not in obj["curvature"]
+    assert obj["transport"]["max_ratios"]["ti_ollivier"] <= 1.0 + 1e-9
 
 
 def test_analyze_two_block(tmp_path, capsys):
@@ -176,6 +191,16 @@ def test_analyze_two_block(tmp_path, capsys):
     # the verifiers surface the transport-information failure
     assert obj["transport"]["max_ratios"]["ti_be"] is None  # inf serialized as null
     assert isinstance(obj["transport"]["max_ratios"]["ti_ollivier"], dict)
+
+
+def test_duplicate_labels_exit_1(tmp_path, capsys):
+    obj = space_to_json(make_p3())
+    obj["labels"] = ["a", "b", "a"]
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps(obj))
+    for cmd in ("validate", "analyze"):
+        code, out = run(capsys, [cmd, str(bad)])
+        assert (code, out) == (1, None)
 
 
 def test_analyze_rejects_invalid_space(tmp_path, capsys):

@@ -44,6 +44,26 @@ def test_dimension_mismatch_is_structural():
         Space(("a", "b"), np.zeros((3, 3)), np.eye(2), np.ones(2))
 
 
+def test_duplicate_labels_are_structural(p3):
+    with pytest.raises(StructuralError, match="distinct"):
+        Space(("a", "a", "c"), p3.metric, p3.kernel, p3.measure)
+    with pytest.raises(StructuralError, match="distinct"):  # unhashable JSON labels
+        Space(([0, "a"], [1, "a"], [0, "a"]), p3.metric, p3.kernel, p3.measure)
+    obj = space_to_json(p3)
+    obj["labels"] = ["a", "a", "c"]
+    with pytest.raises(StructuralError, match="distinct"):
+        space_from_json(obj)
+
+
+def test_non_finite_measure_has_infinite_residual(p3):
+    for bad in (np.nan, np.inf):
+        sp = Space(p3.labels, p3.metric, p3.kernel, np.array([1.0, bad, 1.0]))
+        with np.errstate(invalid="ignore"):  # inf * 0 in the kernel residuals
+            report = validate_space(sp)
+        assert report.residual("measure_positive") == np.inf
+        assert "measure_positive" in {c.axiom for c in report.violations}
+
+
 def test_metric_axiom_violations_are_reported(p3):
     d = p3.metric.copy()
     d[0, 2] = 5.0  # breaks symmetry and the triangle through b

@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrws import (
     Space,
@@ -24,7 +26,8 @@ from mrws import (
     wasserstein,
 )
 from mrws import _linalg, curvature
-from mrws.builders import cycle, lazy_cycle
+from mrws.builders import cycle, grid_kernel_neumann, lazy_cycle, p3 as make_p3, random_reversible_space
+from mrws.curvature import geodesic, kappa_global
 
 import _oracles
 from conftest import random_spaces
@@ -205,12 +208,86 @@ def test_support_edges_policy_is_upper_family(k3):
 
 
 def test_all_pairs_guard(monkeypatch):
-    from mrws.builders import random_reversible_space
-
     sp = random_reversible_space(12, np.random.default_rng(0))
     monkeypatch.setattr(curvature, "ALL_PAIRS_LIMIT", 10)
     with pytest.raises(ValueError):
         ollivier_global(sp, policy="all_pairs")
+
+
+# ---------------------------------------------------------------------------
+# global curvature from support edges on geodesic metrics
+
+
+def _p3_shortcut():
+    """P3 with d(a, c) = 1.5: a metric, but shorter than the path a-b-c."""
+    p3 = make_p3()
+    d = p3.metric.copy()
+    d[0, 2] = d[2, 0] = 1.5
+    return Space(p3.labels, d, p3.kernel, p3.measure)
+
+
+def _count_kappa_pairs(monkeypatch):
+    calls = []
+    real = curvature.ollivier_kappa
+    monkeypatch.setattr(curvature, "ollivier_kappa",
+                        lambda sp, i, j: calls.append((i, j)) or real(sp, i, j))
+    return calls
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.1, 0.9),
+       self_loops=st.booleans())
+def test_edge_kappa_is_global_on_graph_metrics(n, seed, density, self_loops):
+    sp = random_reversible_space(n, np.random.default_rng(seed), density=density,
+                                 self_loops=self_loops)
+    assert geodesic(sp)
+    expect = ollivier_global(sp, "all_pairs").kappa_global
+    assert kappa_global(sp) == pytest.approx(expect, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cells=st.integers(1, 12), reach=st.floats(1.05, 4.0))
+def test_edge_kappa_is_global_on_grids(cells, reach):
+    h = 1.0 / cells
+    sp = grid_kernel_neumann([(0.0, 1.0)], h=h, radius=reach * h)
+    assert geodesic(sp)
+    # equal in exact arithmetic; a non-edge LP may land an ulp lower (8 cells,
+    # reach 1.5: edges give 0.0, all pairs -2.2e-16)
+    expect = ollivier_global(sp, "all_pairs").kappa_global
+    assert kappa_global(sp) == pytest.approx(expect, abs=1e-12)
+
+
+def test_non_geodesic_metric_takes_all_pairs(two_block, monkeypatch):
+    sp = _p3_shortcut()
+    calls = _count_kappa_pairs(monkeypatch)
+    assert not geodesic(sp)
+    assert kappa_global(sp) == ollivier_global(sp, "all_pairs").kappa_global
+    assert sorted(calls) == [(0, 1), (0, 2), (1, 2)]  # the non-edge (a, c) too
+    assert not geodesic(two_block)  # no support path joins the blocks
+    assert kappa_global(two_block) == ollivier_global(two_block, "all_pairs").kappa_global
+
+
+def test_kappa_global_above_all_pairs_limit(k3, monkeypatch):
+    monkeypatch.setattr(curvature, "ALL_PAIRS_LIMIT", 2)
+    assert kappa_global(k3) == pytest.approx(0.5, abs=1e-12)  # geodesic: edges suffice
+    sp = _p3_shortcut()
+    assert kappa_global(sp) is None
+    with pytest.raises(ValueError, match="all pairs"):
+        lipschitz_contraction_check(sp, samples=1)
+    assert lipschitz_contraction_check(k3, samples=20, rng=3) <= 1.0 + 1e-9
+
+
+def test_each_pair_lp_runs_once(monkeypatch):
+    sp = random_reversible_space(8, np.random.default_rng(4), density=0.4)
+    calls = _count_kappa_pairs(monkeypatch)
+    kappa_global(sp)
+    edges = ollivier_global(sp, "support_edges").kappa_pairs
+    assert sorted(calls) == sorted(edges)
+    assert len(edges) < 28  # the family has non-edge pairs
+    ollivier_global(sp)  # adds the non-edge pairs only
+    kappa_global(sp)
+    lipschitz_contraction_check(sp, samples=2, rng=0)
+    assert sorted(calls) == [(i, j) for i in range(8) for j in range(i + 1, 8)]
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +299,7 @@ def test_memo_computes_kappa_once_per_space(k3, monkeypatch):
     real = curvature.ollivier_kappa
     monkeypatch.setattr(curvature, "ollivier_kappa", lambda *a: calls.append(a) or real(*a))
     ollivier_global(k3)
+    kappa_global(k3)
     verify_transport_inequality(k3, "te", 5)
     assert len(calls) == 3  # one per pair of K3, not once per caller
 
@@ -275,7 +353,8 @@ def test_memo_entry_dies_with_its_space():
     be_best_constant(sp, 2.0)
     ollivier_global(sp)
     spectral_gap(sp)
-    assert len(_linalg._MEMO[sp]) == 3  # one entry per result, all on this space
+    assert len(_linalg._MEMO[sp]) == 4  # one entry per result, all on this space:
+    # BE, the decomposition, and the all-pairs curvature with its edge part
     ref = weakref.ref(sp)
     gc.collect()
     before = len(_linalg._MEMO)

@@ -10,7 +10,9 @@ from mrws import (
     verify_transport_inequality,
     wasserstein,
 )
+from mrws import Space, curvature
 from mrws.builders import grid_kernel_neumann, two_block_halves
+from mrws.transport import _marginal_constraints
 
 import _oracles
 from conftest import random_spaces
@@ -210,8 +212,15 @@ def test_hypothesis_failures_are_reported(p3, two_block):
 def test_ti_ollivier_skipped_above_all_pairs_limit():
     grid = grid_kernel_neumann([(0.0, 1.0)], h=1 / 300, radius=0.005)
     assert grid.n == 301  # one more than ALL_PAIRS_LIMIT
+    # the square root of a metric is a metric, but no longer a path metric
+    snowflake = Space(grid.labels, np.sqrt(grid.metric), grid.kernel, grid.measure)
     with pytest.raises(HypothesisError, match="all pairs"):
-        verify_transport_inequality(grid, "ti_ollivier", trials=1)
+        verify_transport_inequality(snowflake, "ti_ollivier", trials=1)
+
+
+def test_ti_ollivier_runs_above_all_pairs_limit_on_geodesic_metric(k3, monkeypatch):
+    monkeypatch.setattr(curvature, "ALL_PAIRS_LIMIT", 2)
+    assert verify_transport_inequality(k3, "ti_ollivier", trials=20, rng=1) <= 1.0 + 1e-9
 
 
 def test_verifier_exposes_failure_on_disconnected_space(two_block):
@@ -250,3 +259,19 @@ def test_ti_be_is_nearly_sharp_on_p3(p3):
         worst = max(worst, lhs / rhs)
     assert worst <= 1.0 + 1e-9
     assert worst > 0.99
+
+
+def test_marginal_constraints_match_loop_construction():
+    for ni, nj in ((3, 5), (5, 3), (1, 4), (4, 1), (1, 1)):
+        rows, cols = [], []
+        for r in range(ni):
+            rows.extend([r] * nj)
+            cols.extend(range(r * nj, (r + 1) * nj))
+        for c in range(nj):
+            rows.extend([ni + c] * ni)
+            cols.extend(range(c, ni * nj, nj))
+        A = _marginal_constraints(ni, nj)
+        assert A.shape == (ni + nj, ni * nj)
+        np.testing.assert_array_equal(A.row, rows)
+        np.testing.assert_array_equal(A.col, cols)
+        np.testing.assert_array_equal(A.data, np.ones(2 * ni * nj))
