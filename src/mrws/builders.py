@@ -108,9 +108,9 @@ def from_markov_kernel(kernel, metric=None) -> Space:
     """Space from a row-stochastic matrix; the measure is solved for.
 
     The stationary vector is computed from the dense linear system with a
-    normalization row appended (power iteration above n = 2000). It must have
-    full support and satisfy detailed balance, otherwise the chain does not
-    define a reversible walk space and an error is raised.
+    normalization row appended. It must have full support and satisfy
+    detailed balance, otherwise the chain does not define a reversible walk
+    space and an error is raised.
     """
     P = np.array(kernel, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -137,15 +137,6 @@ def from_markov_kernel(kernel, metric=None) -> Space:
 
 def _stationary_vector(P: np.ndarray) -> np.ndarray | None:
     n = P.shape[0]
-    if n > 2000:
-        nu = np.full(n, 1.0 / n)
-        for _ in range(200_000):
-            new = nu @ P
-            new /= new.sum()
-            if np.abs(new - nu).max() <= 1e-14:
-                return new
-            nu = new
-        return nu if np.abs(nu @ P - nu).max() <= 1e-12 else None
     A = np.vstack([P.T - np.eye(n), np.ones((1, n))])
     b = np.zeros(n + 1)
     b[-1] = 1.0

@@ -8,7 +8,7 @@ kernel; ``validate_space`` checks exactly that, with per-axiom residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -73,7 +73,6 @@ class Space:
     kernel: np.ndarray
     measure: np.ndarray
     metric_sentinel: float | None = None
-    normalized: bool = field(init=False)
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -97,7 +96,6 @@ class Space:
         object.__setattr__(self, "metric", metric)
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "measure", measure)
-        object.__setattr__(self, "normalized", abs(float(measure.sum()) - 1.0) <= 1e-12)
 
     @property
     def n(self) -> int:
@@ -279,15 +277,19 @@ def validate_space(space: Space) -> ValidationReport:
     tri = _triangle_residual(d, space.metric_sentinel)
     checks.append(AxiomCheck("metric_triangle", tri, TOL_TRIANGLE, tri <= TOL_TRIANGLE))
 
-    inv = float(np.abs(nu @ P - nu).max())
-    checks.append(AxiomCheck("invariance", inv, TOL_INVARIANCE * total, inv <= TOL_INVARIANCE * total))
-
-    Q = nu[:, None] * P
-    rev = float(np.abs(Q - Q.T).max())
-    checks.append(AxiomCheck("reversibility", rev, TOL_REVERSIBILITY * total, rev <= TOL_REVERSIBILITY * total))
+    finite = bool(np.isfinite(nu).all())
+    if finite:
+        inv = float(np.abs(nu @ P - nu).max())
+        Q = nu[:, None] * P
+        rev = float(np.abs(Q - Q.T).max())
+    else:  # inf * 0 in the products has no value
+        inv = rev = np.inf
+    checks.append(AxiomCheck("invariance", inv, TOL_INVARIANCE * total,
+                             finite and inv <= TOL_INVARIANCE * total))
+    checks.append(AxiomCheck("reversibility", rev, TOL_REVERSIBILITY * total,
+                             finite and rev <= TOL_REVERSIBILITY * total))
 
     numin = float(nu.min()) if space.n else 1.0
-    finite = bool(np.isfinite(nu).all())
     checks.append(AxiomCheck("measure_positive", max(0.0, -numin) if finite else np.inf, 0.0,
                              finite and numin > 0, detail="min measure %.3g" % numin))
 

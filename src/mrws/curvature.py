@@ -32,10 +32,6 @@ __all__ = [
     "lipschitz_contraction_check",
 ]
 
-# Rank threshold for the squared-gradient form and PSD slack for feasibility.
-FORM_RANK_TOL = 1e-12
-PSD_TOL = 1e-10
-
 # Largest space on which the all-pairs curvature (n(n-1)/2 transport LPs) runs.
 ALL_PAIRS_LIMIT = 300
 # Relative slack within which the metric must equal its path metric over the
@@ -85,11 +81,11 @@ def _forms_at(space: Space, x: int, P2: np.ndarray, PL: np.ndarray):
     B = 0.5 * (Dx - np.outer(px, ex) - np.outer(ex, px) + np.outer(ex, ex))
 
     # sum_j k(x,j) B_j, expanded through one extra kernel power
-    SB = 0.5 * (np.diag(P2[x]) - P.T @ Dx - Dx @ P + Dx)
+    SB = 0.5 * (np.diag(P2[x]) - P.T * px - px[:, None] * P + Dx)
 
     L = P - np.eye(n)
     lx = L[x]
-    C = 0.5 * (Dx @ L - np.outer(px, lx) - np.outer(ex, PL[x]) + np.outer(ex, lx))
+    C = 0.5 * (px[:, None] * L - np.outer(px, lx) - np.outer(ex, PL[x]) + np.outer(ex, lx))
     M2 = 0.5 * (SB - B) - 0.5 * (C + C.T)
     return B, 0.5 * (M2 + M2.T), lx
 
@@ -121,23 +117,31 @@ class BEResult:
     n_param: float
     k_best_global: float
     k_best_per_point: np.ndarray  # read-only
-    feasible: bool
 
 
 def be_best_constant(space: Space, n_param: float) -> BEResult:
     """Largest K with Gamma2(f) >= (1/n) (Lf)^2 + K Gamma(f) at every point.
 
-    Per point this asks for the supremum of K with A - K B positive
-    semidefinite, A = Gamma2-form minus the dimension term and B the
-    squared-gradient form. B is singular, so the pencil is reduced by
-    eliminating the kernel of B through a Schur complement: directions with
-    zero gradient must already be nonnegative for A (else no finite K works,
-    reported as -inf and feasible=False), and their coupling to the rest
-    tightens the constant. The reduced problem is an ordinary symmetric
-    generalized eigenvalue problem. Memoized per space and float(n_param).
+    Per point x this is the supremum of K with A - K B positive semidefinite,
+    A the Gamma2-form minus the dimension term and B the squared-gradient
+    form. Both forms ignore constants, so f(x) = 0 is fixed and x dropped
+    (the local formulation of Cushing, Liu and Peyerimhoff, Canad. J. Math.
+    2020). On the neighbours Y = {y != x : k(x,y) > 0}, B is diag(k(x,y)) / 2.
+    A point z of the second ring Z, outside {x} and Y with (P^2)(x,z) > 0,
+    enters A only through its diagonal entry (P^2)(x,z) / 4 > 0 and terms
+    linear in f(z); points farther out do not enter at all. Eliminating the second ring by
+    its Schur complement leaves one symmetric eigenproblem of size deg(x):
+
+        K(x) = lambda_min(s (A_YY - A_YZ A_ZZ^-1 A_ZY) s),  s = (k(x,Y) / 2)^(-1/2).
+
+    K(x) = +inf at a point with no neighbour, where Gamma(f)(x) = 0 for every
+    f. The reduction needs a nonnegative kernel; a negative entry raises
+    ValueError. Memoized per space and float(n_param).
     """
     if not n_param > 1:
         raise ValueError("dimension parameter must satisfy n > 1 (inf allowed)")
+    if space.kernel.min(initial=0.0) < 0:
+        raise ValueError("the Bakry-Emery constant needs a nonnegative kernel")
     n_param = float(n_param)
 
     def compute():
@@ -145,41 +149,22 @@ def be_best_constant(space: Space, n_param: float) -> BEResult:
         P2 = P @ P
         PL = P2 - P
         n = space.n
-        ks = np.empty(n)
+        ks = np.full(n, math.inf)
         for x in range(n):
-            B, M2, lx = _forms_at(space, x, P2, PL)
+            away = np.arange(n) != x
+            Y = np.flatnonzero(away & (P[x] > 0))
+            if not Y.size:
+                continue
+            Z = np.flatnonzero(away & (P[x] == 0) & (P2[x] > 0))
+            _, M2, lx = _forms_at(space, x, P2, PL)
             A = M2 if math.isinf(n_param) else M2 - np.outer(lx, lx) / n_param
-            ks[x] = _pencil_supremum(A, B)
-        finite = np.all(ks > -np.inf)
-        k_global = float(ks.min()) if n else math.inf
-        return BEResult(n_param, k_global, _readonly(ks), bool(finite))
+            AYZ = A[np.ix_(Y, Z)]
+            S = A[np.ix_(Y, Y)] - (AYZ / A[Z, Z]) @ AYZ.T
+            s = 1.0 / np.sqrt(0.5 * P[x, Y])
+            ks[x] = np.linalg.eigvalsh(s[:, None] * S * s).min()
+        return BEResult(n_param, float(ks.min(initial=math.inf)), _readonly(ks))
 
     return _linalg.memo(space, ("be", n_param), compute)
-
-
-def _pencil_supremum(A: np.ndarray, B: np.ndarray) -> float:
-    """sup{K : A - K B is PSD} for symmetric A and PSD B (possibly singular)."""
-    w, V = np.linalg.eigh(B)
-    keep = w > FORM_RANK_TOL
-    if not keep.any():
-        return math.inf  # B = 0: any K works
-    R, wR = V[:, keep], w[keep]
-    N = V[:, ~keep]
-    ARR = R.T @ A @ R
-    if N.shape[1]:
-        ANN = N.T @ A @ N
-        dN, WN = np.linalg.eigh(ANN)
-        if dN.min() < -PSD_TOL:
-            return -math.inf  # negative on zero-gradient directions
-        G = R.T @ A @ N
-        null = dN <= PSD_TOL
-        if null.any() and np.abs(G @ WN[:, null]).max() > 1e-8:
-            return -math.inf  # coupling into a null direction: unbounded below
-        inv = np.where(null, 0.0, 1.0 / np.where(null, 1.0, dN))
-        ARR = ARR - (G @ WN) @ (inv[:, None] * (WN.T @ G.T))
-    scale = 1.0 / np.sqrt(wR)
-    T = scale[:, None] * ARR * scale[None, :]
-    return float(np.linalg.eigvalsh(T).min())
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def spectral_gap(space: Space, fit_decay: bool = False) -> SpectralReport:
     kernel_dim = _linalg.kernel_dimension(space)
     if kernel_dim == 1 and space.n > 1:
         gap = float(lam[1])
-        gap_ibe = float(lam[lam > _linalg.KERNEL_DIM_TOL].min())
+        gap_ibe = gap
     else:
         gap = 0.0
         gap_ibe = None

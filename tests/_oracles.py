@@ -67,6 +67,51 @@ def gamma2_pointwise(space, f, x):
     return 0.5 * lap(gf, x) - gam(f, lf, x)
 
 
+def be_constant_bisection(space, x, n_param):
+    """Largest K with Gamma2(f)(x) >= (Lf)(x)^2 / n + K Gamma(f)(x) for all f.
+
+    The forms are the polarizations of the pointwise oracles over all n
+    points, the dimension term comes from a loop Laplacian, and K is found
+    by bisection on the least eigenvalue of A - K B (nonincreasing in K,
+    since B is PSD); +inf where Gamma(.)(x) vanishes.
+    """
+    n = space.n
+    P = space.kernel
+    E = np.eye(n)
+
+    def polarize(q):
+        d = [q(E[i]) for i in range(n)]
+        Q = np.diag(d)
+        for i in range(n):
+            for j in range(i + 1, n):
+                Q[i, j] = Q[j, i] = 0.5 * (q(E[i] + E[j]) - d[i] - d[j])
+        return Q
+
+    B = polarize(lambda f: gamma_pointwise(space, f, x))
+    A = polarize(lambda f: gamma2_pointwise(space, f, x))
+    if not B.any():
+        return np.inf
+    if n_param != np.inf:
+        lap = np.array([sum(P[x, y] * (E[j][y] - E[j][x]) for y in range(n)) for j in range(n)])
+        A -= np.outer(lap, lap) / n_param
+
+    def holds(k):
+        return np.linalg.eigvalsh(A - k * B).min() >= -1e-11
+
+    lo, hi = -1.0, 1.0
+    while not holds(lo):
+        lo *= 2.0
+    while holds(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def total_variation_loops(space, u):
     """Definition of the nonlocal total variation, as explicit loops."""
     u = np.asarray(u, float)

@@ -118,6 +118,15 @@ def test_curvature_output(tmp_path, capsys):
     assert [0, 2, 1.0] in [[p[0], p[1], round(p[2], 9)] for p in obj["kappa_pairs"]]
 
 
+def test_curvature_negative_kernel_exits_1(tmp_path, capsys):
+    obj = space_to_json(make_p3())
+    obj["kernel"][0] = [1.5, -0.5, 0.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["curvature", str(bad), "--be", "2"]) == 1
+    assert "Bakry-Emery" in capsys.readouterr().err  # rejected before any transport LP
+
+
 def test_transport_output(tmp_path, capsys):
     path = write_space(tmp_path, make_p3())
     mu = write_field(tmp_path, [1.0, 0.0, 0.0], "mu.json")

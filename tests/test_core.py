@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -56,12 +57,14 @@ def test_duplicate_labels_are_structural(p3):
 
 
 def test_non_finite_measure_has_infinite_residual(p3):
+    measured = ("invariance", "reversibility", "measure_positive")
     for bad in (np.nan, np.inf):
         sp = Space(p3.labels, p3.metric, p3.kernel, np.array([1.0, bad, 1.0]))
-        with np.errstate(invalid="ignore"):  # inf * 0 in the kernel residuals
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = validate_space(sp)
-        assert report.residual("measure_positive") == np.inf
-        assert "measure_positive" in {c.axiom for c in report.violations}
+        assert [report.residual(a) for a in measured] == [np.inf] * 3
+        assert set(measured) <= {c.axiom for c in report.violations}
 
 
 def test_metric_axiom_violations_are_reported(p3):

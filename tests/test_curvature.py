@@ -124,12 +124,33 @@ def test_zero_gradient_directions_feasible(rng):
     # a failure would surface as an unbounded (-inf) constant
     for sp in random_spaces(10, rng):
         res = be_best_constant(sp, np.inf)
-        assert res.feasible
         assert np.all(res.k_best_per_point > -math.inf)
 
 
 # ---------------------------------------------------------------------------
 # curvature-dimension constants
+
+
+def test_be_constant_matches_bisection_oracle(rng):
+    spaces = [random_reversible_space(int(rng.integers(2, 9)), rng,
+                                      density=float(rng.uniform(0.2, 0.8)),
+                                      connected=connected, self_loops=loops)
+              for connected in (True, False) for loops in (True, False) for _ in range(3)]
+    no_neighbour = 0
+    for sp in spaces:
+        for n in (2.0, 3.0, np.inf):
+            want = [_oracles.be_constant_bisection(sp, x, n) for x in range(sp.n)]
+            np.testing.assert_allclose(be_best_constant(sp, n).k_best_per_point, want,
+                                       rtol=0, atol=1e-8)
+            no_neighbour += int(np.isinf(want).sum())
+    assert no_neighbour  # some isolated point, where K(x) = +inf
+
+
+def test_be_constant_rejects_negative_kernel(p3):
+    P = p3.kernel.copy()
+    P[0] = [1.5, -0.5, 0.0]
+    with pytest.raises(ValueError, match="nonnegative"):
+        be_best_constant(Space(p3.labels, p3.metric, P, p3.measure), 2.0)
 
 
 def test_p3_constants_match_closed_form(p3):
@@ -322,7 +343,7 @@ def test_memoized_results_match_a_fresh_space(rng):
         for be, n in zip(warm_be, (2, np.inf)):
             other = be_best_constant(fresh, n)
             np.testing.assert_array_equal(be.k_best_per_point, other.k_best_per_point)
-            assert (be.k_best_global, be.feasible) == (other.k_best_global, other.feasible)
+            assert be.k_best_global == other.k_best_global
         assert warm_kappa == ollivier_global(fresh)
 
 
