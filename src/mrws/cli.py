@@ -177,7 +177,8 @@ def _cmd_curvature(args) -> int:
     policy = "all_pairs" if args.ollivier == "all" else "support_edges"
     res = curvature.ollivier_global(space, policy=policy)
     pairs = [[int(i), int(j), float(k)] for (i, j), k in sorted(res.kappa_pairs.items())]
-    _emit({"be": be, "kappa_global": res.kappa_global, "kappa_pairs": pairs})
+    kappa = curvature.kappa_global(space) if policy == "all_pairs" else res.kappa_global  # as analyze
+    _emit({"be": be, "kappa_global": kappa, "kappa_pairs": pairs})
     return EXIT_OK
 
 

@@ -253,6 +253,7 @@ def validate_space(space: Space) -> ValidationReport:
     """
     P, d, nu = space.kernel, space.metric, space.measure
     total = float(nu.sum())
+    total = total if np.isfinite(total) else 1.0  # unscaled tolerances for a non-finite mass
     checks = []
 
     row_res = float(np.abs(P.sum(axis=1) - 1.0).max())

@@ -68,31 +68,22 @@ def gamma2(space: Space, f, g=None) -> ScalarField:
 # per-point quadratic forms
 
 
-def _forms_at(space: Space, x: int, P2: np.ndarray, PL: np.ndarray):
-    """Matrices (B, M2, Lrow) with f.B f = Gamma(f)(x), f.M2 f = Gamma2(f)(x),
-    Lrow @ f = (Lf)(x). All O(n^2) per point."""
-    P = space.kernel
-    n = space.n
-    px = P[x]
-    ex = np.zeros(n)
-    ex[x] = 1.0
-    Dx = np.diag(px)
-
-    B = 0.5 * (Dx - np.outer(px, ex) - np.outer(ex, px) + np.outer(ex, ex))
-
-    # sum_j k(x,j) B_j, expanded through one extra kernel power
-    SB = 0.5 * (np.diag(P2[x]) - P.T * px - px[:, None] * P + Dx)
-
-    L = P - np.eye(n)
-    lx = L[x]
-    C = 0.5 * (px[:, None] * L - np.outer(px, lx) - np.outer(ex, PL[x]) + np.outer(ex, lx))
-    M2 = 0.5 * (SB - B) - 0.5 * (C + C.T)
-    return B, 0.5 * (M2 + M2.T), lx
+def _gamma2_matrix(P: np.ndarray, P2: np.ndarray, x: int, J: np.ndarray, n_param: float):
+    """Matrix A with f_J.A f_J = Gamma2(f)(x) - (Lf)(x)^2 / n_param for each field f with
+    f(x) = 0 that vanishes off J (a row at x, if J holds x, is meaningless). With p = P[x],
+    A = diag((P^2)[x,J]) / 4 + diag(p_J) / 2 - (diag(p_J) P_JJ + P_JJ^T diag(p_J)) / 2
+        + (1/2 - 1/n_param) p_J p_J^T."""
+    p = P[x, J]
+    A = p[:, None] * P[np.ix_(J, J)]
+    A = (0.5 - 1.0 / n_param) * np.outer(p, p) - 0.5 * (A + A.T)
+    A[np.diag_indices_from(A)] += 0.25 * P2[x, J] + 0.5 * p
+    return A
 
 
 @dataclass(frozen=True)
 class PointQuadraticForms:
-    """Dense per-point forms; O(n^3) memory, intended for small spaces."""
+    """Per-point forms on all n points, with f.gamma_forms[x] f = Gamma(f)(x), likewise
+    Gamma2, and laplacian_rows[x] @ f = (Lf)(x). O(n^3) memory, for small spaces."""
 
     gamma_forms: np.ndarray  # (n, n, n), [x] is the form of Gamma(.)(x)
     gamma2_forms: np.ndarray
@@ -100,16 +91,19 @@ class PointQuadraticForms:
 
 
 def point_forms(space: Space) -> PointQuadraticForms:
+    """Both forms ignore constants: each is C^T A C, with C = I - 1 e_x^T mapping f to
+    f - f(x) and A the form on fields with f(x) = 0."""
     P = space.kernel
     P2 = P @ P
-    PL = P2 - P
     n = space.n
     B = np.empty((n, n, n))
     M2 = np.empty((n, n, n))
-    Lr = P - np.eye(n)
     for x in range(n):
-        B[x], M2[x], _ = _forms_at(space, x, P2, PL)
-    return PointQuadraticForms(B, M2, Lr)
+        C = np.eye(n)
+        C[:, x] -= 1.0
+        B[x] = C.T @ (0.5 * P[x, :, None] * C)
+        M2[x] = C.T @ _gamma2_matrix(P, P2, x, np.arange(n), math.inf) @ C
+    return PointQuadraticForms(B, M2, P - np.eye(n))
 
 
 @dataclass(frozen=True)
@@ -147,7 +141,6 @@ def be_best_constant(space: Space, n_param: float) -> BEResult:
     def compute():
         P = space.kernel
         P2 = P @ P
-        PL = P2 - P
         n = space.n
         ks = np.full(n, math.inf)
         for x in range(n):
@@ -156,10 +149,9 @@ def be_best_constant(space: Space, n_param: float) -> BEResult:
             if not Y.size:
                 continue
             Z = np.flatnonzero(away & (P[x] == 0) & (P2[x] > 0))
-            _, M2, lx = _forms_at(space, x, P2, PL)
-            A = M2 if math.isinf(n_param) else M2 - np.outer(lx, lx) / n_param
-            AYZ = A[np.ix_(Y, Z)]
-            S = A[np.ix_(Y, Y)] - (AYZ / A[Z, Z]) @ AYZ.T
+            A = _gamma2_matrix(P, P2, x, np.concatenate([Y, Z]), n_param)
+            AYZ = A[:Y.size, Y.size:]
+            S = A[:Y.size, :Y.size] - (AYZ / np.diag(A)[Y.size:]) @ AYZ.T
             s = 1.0 / np.sqrt(0.5 * P[x, Y])
             ks[x] = np.linalg.eigvalsh(s[:, None] * S * s).min()
         return BEResult(n_param, float(ks.min(initial=math.inf)), _readonly(ks))

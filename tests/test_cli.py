@@ -5,7 +5,7 @@ import pytest
 
 from mrws import Space, space_to_json
 from mrws import curvature
-from mrws.builders import k3 as make_k3, p3 as make_p3, two_block
+from mrws.builders import grid_kernel_neumann, k3 as make_k3, p3 as make_p3, two_block
 from mrws.cli import main
 
 
@@ -116,6 +116,16 @@ def test_curvature_output(tmp_path, capsys):
     assert obj["be"]["inf"] == pytest.approx(1.0, abs=1e-9)
     assert obj["kappa_global"] == pytest.approx(0.0, abs=1e-12)
     assert [0, 2, 1.0] in [[p[0], p[1], round(p[2], 9)] for p in obj["kappa_pairs"]]
+
+
+def test_curvature_all_pairs_prints_the_analyze_kappa(tmp_path, capsys):
+    # geodesic grid where a non-edge LP lands an ulp below the edge minimum
+    path = write_space(tmp_path, grid_kernel_neumann([(0, 1)], h=1 / 8, radius=1.5 / 8))
+    code, curv = run(capsys, ["curvature", path, "--ollivier", "all"])
+    assert code == 0
+    code, obj = run(capsys, ["analyze", path, "--trials", "2"])
+    assert code == 0
+    assert curv["kappa_global"] == obj["curvature"]["kappa_global"]
 
 
 def test_curvature_negative_kernel_exits_1(tmp_path, capsys):

@@ -65,6 +65,7 @@ def test_non_finite_measure_has_infinite_residual(p3):
             report = validate_space(sp)
         assert [report.residual(a) for a in measured] == [np.inf] * 3
         assert set(measured) <= {c.axiom for c in report.violations}
+        assert all(np.isfinite(c.tolerance) for c in report.checks)
 
 
 def test_metric_axiom_violations_are_reported(p3):

@@ -136,6 +136,8 @@ def test_be_constant_matches_bisection_oracle(rng):
                                       density=float(rng.uniform(0.2, 0.8)),
                                       connected=connected, self_loops=loops)
               for connected in (True, False) for loops in (True, False) for _ in range(3)]
+    # larger than B2(x) of most points, so the second ring and the points past it matter
+    spaces += [cycle(10), grid_kernel_neumann([(0, 1)], h=1 / 11, radius=1.5 / 11)]
     no_neighbour = 0
     for sp in spaces:
         for n in (2.0, 3.0, np.inf):

@@ -89,20 +89,22 @@ def test_methods_agree_on_random_spaces(rng):
             assert np.abs(outs[0] - outs[2]).max() <= 1e-8 * sup
 
 
-def test_mass_conservation(rng):
+@pytest.mark.parametrize("method", ["series", "spectral", "rk4"])
+def test_mass_conservation(rng, method):
     for sp in random_spaces(8, rng):
         u0 = rng.standard_normal(sp.n)
         m0 = float(sp.nu @ u0)
         for t in (0.1, 1.0, 10.0):
-            m = float(sp.nu @ heat_evolve(sp, u0, t).values)
+            m = float(sp.nu @ heat_evolve(sp, u0, t, method=method).values)
             assert abs(m - m0) <= 1e-10 * max(1.0, abs(m0))
 
 
-def test_maximum_principle(rng):
+@pytest.mark.parametrize("method", ["series", "spectral", "rk4"])
+def test_maximum_principle(rng, method):
     for sp in random_spaces(8, rng):
         u0 = rng.uniform(-3, 5, sp.n)
         for t in (0.3, 4.0):
-            u = heat_evolve(sp, u0, t).values
+            u = heat_evolve(sp, u0, t, method=method).values
             assert u.min() >= u0.min() - 1e-12
             assert u.max() <= u0.max() + 1e-12
 
