@@ -143,3 +143,19 @@ def cheeger_bruteforce(space):
         m = nu[mask].sum()
         best = min(best, per / min(m, 1.0 - m))
     return best
+
+
+def rk4_stepwise(P, u0, t):
+    """Classical RK4 for du/dt = (P - I) u, one k1..k4 stage at a time, with
+    the library's step rule (at least 10 steps, none longer than 0.005)."""
+    P = np.asarray(P, float)
+    u = np.array(u0, dtype=float)
+    steps = max(10, int(np.ceil(t / 0.005)))
+    h = t / steps
+    for _ in range(steps):
+        k1 = P @ u - u
+        k2 = P @ (u + 0.5 * h * k1) - (u + 0.5 * h * k1)
+        k3 = P @ (u + 0.5 * h * k2) - (u + 0.5 * h * k2)
+        k4 = P @ (u + h * k3) - (u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return u

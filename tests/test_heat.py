@@ -1,18 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrws import (
+    StructuralError,
     Subset,
     apply_laplacian,
+    heat,
     heat_evolve,
     heat_trajectory,
     stationary_limit,
     validate_space,
 )
-from mrws.builders import two_block_halves
+from mrws.builders import disjoint_union, grid_kernel_neumann, random_reversible_space, two_block_halves
 
+from _oracles import rk4_stepwise
 from conftest import random_spaces
 
 
@@ -107,6 +112,86 @@ def test_maximum_principle(rng, method):
             u = heat_evolve(sp, u0, t, method=method).values
             assert u.min() >= u0.min() - 1e-12
             assert u.max() <= u0.max() + 1e-12
+
+
+@pytest.mark.parametrize("method", heat.METHODS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_initial_field_rejected(p3, method, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructuralError, match="non-finite"):
+            heat_evolve(p3, [bad, 0.0, 0.0], 2.0, method=method)
+
+
+def test_rk4_matches_stepwise_oracle(rng, two_block, monkeypatch):
+    spaces = (random_spaces(6, rng) + random_spaces(4, rng, connected=False)
+              + [two_block, grid_kernel_neumann([(0.0, 1.0)], h=1 / 79, radius=0.05)])
+    operands = set()
+    increment = heat._rk4_increment
+
+    def recording(P, h, X):
+        operands.add(X.ndim)
+        return increment(P, h, X)
+
+    monkeypatch.setattr(heat, "_rk4_increment", recording)
+    for sp in spaces:
+        u0 = rng.standard_normal(sp.n) * rng.choice([1.0, 100.0])
+        scale = max(1.0, float(np.abs(u0).max()))
+        for t in (0.01, 0.5, 4.0, 32.0):
+            got = heat_evolve(sp, u0, t, method="rk4").values
+            assert np.abs(got - rk4_stepwise(sp.kernel, u0, t)).max() <= 1e-12 * scale
+    assert operands == {1, 2}  # the field was stepped (n = 80, t = 0.01) and R was powered
+
+
+def test_rk4_keeps_constants_at_long_times(two_block):
+    # R^steps by squaring must not drift along the constant mode: squaring R
+    # itself instead of B = R - I drifted by 2e-11 at t = 2000 here.
+    for sp in (two_block, grid_kernel_neumann([(0.0, 1.0)], h=1 / 79, radius=0.05)):
+        for t in (200.0, 2000.0):
+            u = heat_evolve(sp, np.full(sp.n, 3.0), t, method="rk4").values
+            assert np.abs(u - 3.0).max() <= 3e-12
+
+
+def _hypothesis_space(seed, n, density, self_loops, split):
+    """A random reversible space; with ``split``, two of them side by side,
+    so the flow has at least two invariant blocks."""
+    rng = np.random.default_rng(seed)
+    sp = random_reversible_space(n, rng, density=density, connected=False, self_loops=self_loops)
+    if split:
+        sp = disjoint_union(sp, random_reversible_space(n, rng, density=density, self_loops=self_loops))
+    return sp, rng.uniform(-3, 5, sp.n)
+
+
+space_args = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 10), density=st.floats(0.1, 0.9),
+                  self_loops=st.booleans(), split=st.booleans())
+
+
+@pytest.mark.parametrize("method", heat.METHODS)
+@settings(max_examples=40, deadline=None)
+@given(**space_args)
+@example(seed=0, n=6, density=0.5, self_loops=True, split=True)
+def test_long_time_limit_property(method, seed, n, density, self_loops, split):
+    sp, u0 = _hypothesis_space(seed, n, density, self_loops, split)
+    # past the slowest block's mixing time: e^{-t gap} <= e^{-40}
+    s = np.sqrt(sp.nu)
+    lam = np.linalg.eigvalsh(np.eye(sp.n) - (s[:, None] * sp.kernel) / s[None, :])
+    slow = lam[lam > 1e-8]
+    t = max(200.0, 40.0 / slow.min()) if slow.size else 200.0
+    got = heat_evolve(sp, u0, t, method=method).values
+    np.testing.assert_allclose(got, stationary_limit(sp, u0).values, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("method", heat.METHODS)
+@settings(max_examples=40, deadline=None)
+@given(t=st.floats(0.0, 64.0), **space_args)
+@example(t=30.0, seed=0, n=6, density=0.5, self_loops=True, split=True)
+def test_mass_and_bounds_property(method, t, seed, n, density, self_loops, split):
+    sp, u0 = _hypothesis_space(seed, n, density, self_loops, split)
+    u = heat_evolve(sp, u0, t, method=method).values
+    m0 = float(sp.nu @ u0)
+    assert abs(float(sp.nu @ u) - m0) <= 1e-10 * max(1.0, abs(m0))
+    assert u.min() >= u0.min() - 1e-12
+    assert u.max() <= u0.max() + 1e-12
 
 
 def test_lp_contraction(rng):
