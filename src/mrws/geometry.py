@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 EXACT_ENUM_LIMIT = 24
+_LOW_BITS = 16  # free points in the low block of the bipartition scan
+_CHUNK = 1 << 16  # subset ids per chunk evaluation, whose rounding cheeger reports
 
 
 def _edge_mass(space: Space) -> np.ndarray:
@@ -143,33 +145,78 @@ class CheegerResult:
     method: str
 
 
+def _subset_bits(ids: np.ndarray, width: int) -> np.ndarray:
+    """0/1 matrix whose row m holds the lowest ``width`` bits of ids[m]."""
+    bit = np.arange(width, dtype=np.uint64)
+    return ((ids[:, None] >> bit[None, :]) & 1).astype(float)
+
+
 def _bipartition_scan(space: Space):
-    """Iterate all proper bipartitions (point n-1 fixed outside the subset),
-    yielding (cut mass, subset mass, best index bookkeeping) per chunk."""
+    """Cut mass and subset mass of every proper bipartition (point n-1 fixed
+    outside the subset), one block of consecutive subset ids at a time.
+
+    The free points split into a low block L (the lowest ``_LOW_BITS`` of
+    them) and a high block H, and a subset S into patterns b_L and b_H. The
+    cut, the mass sent from S to its complement, splits the same way:
+
+        cut(S) = cut_L(b_L) + b_L Q_LH (1 - b_H) + (1 - b_L) Q_HL^T b_H + cut_H(b_H),
+
+    where cut_L is the mass from S_L to the rest of L and to point n-1, and
+    cut_H likewise for H. The terms in b_L alone are formed once for all
+    2^|L| low patterns, so each high pattern costs one 2^|L| x 2|H|
+    matrix-vector product and a few vector operations: O(2^(n-1) (n-1-|L|))
+    after an O(2^|L| |L|^2) set-up. Every term sums nonnegative masses, so
+    an invariant set's cut is exactly zero. Yields (first id, cut, mass) for
+    each high pattern, the ids being consecutive; the empty set is skipped.
+    """
+    n = space.n
+    Q = _edge_mass(space)
+    nu = space.nu
+    w = min(_LOW_BITS, n - 1)
+    L, H = np.arange(w), np.arange(w, n - 1)
+    bl = _subset_bits(np.arange(1 << w, dtype=np.uint64), w)
+    bh = _subset_bits(np.arange(1 << len(H), dtype=np.uint64), len(H))
+    cut_l = np.einsum("mi,mi->m", bl @ Q[np.ix_(L, L)], 1.0 - bl) + bl @ Q[L, n - 1]
+    cut_h = np.einsum("mi,mi->m", bh @ Q[np.ix_(H, H)], 1.0 - bh) + bh @ Q[H, n - 1]
+    mass_l, mass_h = bl @ nu[L], bh @ nu[H]
+    cross = np.hstack([bl @ Q[np.ix_(L, H)], (1.0 - bl) @ Q[np.ix_(H, L)].T])
+    for h, pick in enumerate(np.hstack([1.0 - bh, bh])):
+        cut = cut_l + cross @ pick + cut_h[h]
+        mass = mass_l + mass_h[h]
+        if h == 0:
+            yield 1, cut[1:], mass[1:]
+        else:
+            yield h << w, cut, mass
+
+
+def _chunk_ratios(space: Space, start: int):
+    """Cheeger ratios of the subset ids start, ..., start + _CHUNK - 1, formed
+    from the whole chunk at once: the cut as b.q - b.Q.b, clipped at zero.
+
+    Its rounding depends on the shape of the products, and the reported
+    ratio keeps the rounding of this evaluation.
+    """
     n = space.n
     Q = _edge_mass(space)
     nu = space.nu
     q = Q.sum(axis=1)
-    total_masks = 1 << (n - 1)
-    chunk = 1 << 16
-    bit = np.arange(n, dtype=np.uint64)
-    for start in range(1, total_masks, chunk):
-        stop = min(start + chunk, total_masks)
-        ids = np.arange(start, stop, dtype=np.uint64)
-        bits = ((ids[:, None] >> bit[None, :]) & 1).astype(float)
-        inner = np.einsum("mi,mi->m", bits @ Q, bits)
-        cut = np.maximum(bits @ q - inner, 0.0)  # sums of nonnegative masses; scrub cancellation
-        mass = bits @ nu
-        yield ids, cut, mass
+    ids = np.arange(start, min(start + _CHUNK, 1 << (n - 1)), dtype=np.uint64)
+    bits = _subset_bits(ids, n)
+    inner = np.einsum("mi,mi->m", bits @ Q, bits)
+    cut = np.maximum(bits @ q - inner, 0.0)  # sums of nonnegative masses; scrub cancellation
+    mass = bits @ nu
+    return ids, cut / np.minimum(mass, 1.0 - mass)
 
 
 def cheeger(space: Space, mode: str = "exact") -> CheegerResult:
     """Cheeger constant: least perimeter over the smaller side's mass.
 
-    ``exact`` enumerates every bipartition (limited to n <= 24);
-    ``sweep`` orders points by the second eigenvector and scans prefix cuts,
-    returning an upper bound together with the gap/2 lower bound from the
-    Cheeger inequality.
+    ``exact`` enumerates every bipartition (limited to n <= 24) with
+    ``_bipartition_scan``, then evaluates the chunks that hold a near-least
+    ratio whole with ``_chunk_ratios`` and reports the least of those, with
+    the lowest subset id among ties; ``sweep`` orders points by the second
+    eigenvector and scans prefix cuts, returning an upper bound together with
+    the gap/2 lower bound from the Cheeger inequality.
     """
     n = space.n
     if n < 2:
@@ -178,13 +225,30 @@ def cheeger(space: Space, mode: str = "exact") -> CheegerResult:
         if n > EXACT_ENUM_LIMIT:
             raise ValueError(
                 f"exact enumeration is limited to n <= {EXACT_ENUM_LIMIT}; use mode='sweep'")
+        # least scanned ratio in each chunk of _CHUNK ids that _chunk_ratios evaluates
+        chunk_min = np.full(((1 << (n - 1)) - 2) // _CHUNK + 1, np.inf)
+        for lo, cut, mass in _bipartition_scan(space):
+            ratio = cut / np.minimum(mass, 1.0 - mass)
+            # ids lo, lo + 1, ... lie in chunk (id - 1) // _CHUNK; a block spans at most two
+            k = (lo - 1) // _CHUNK
+            split = (k + 1) * _CHUNK + 1 - lo
+            chunk_min[k] = min(chunk_min[k], ratio[:split].min())
+            if split < len(ratio):
+                chunk_min[k + 1] = min(chunk_min[k + 1], ratio[split:].min())
+        # The scan's ratios are accurate to a few ulps. A chunk evaluation rounds
+        # its cut b.q - b.Q.b to within about 3n ulps of the subset mass, which
+        # is at most 1/nu[n-1] times the ratio's denominator, so every subset it
+        # can rank first has a scanned ratio within this slack of the least one.
+        # Those chunks are evaluated whole, as the reported ratio's rounding needs.
+        least, last = chunk_min.min(), space.nu[-1]
+        slack = 4e-12 * least + (32 * n * np.finfo(float).eps / last if last > 0 else np.inf)
         best = np.inf
         best_id = None
-        for ids, cut, mass in _bipartition_scan(space):
-            ratio = cut / np.minimum(mass, 1.0 - mass)
-            k = int(np.argmin(ratio))
-            if ratio[k] < best:
-                best, best_id = float(ratio[k]), int(ids[k])
+        for k in np.flatnonzero(chunk_min <= least + slack):
+            ids, ratio = _chunk_ratios(space, 1 + int(k) * _CHUNK)
+            j = int(np.argmin(ratio))
+            if ratio[j] < best:
+                best, best_id = float(ratio[j]), int(ids[j])
         mask = np.array([(best_id >> i) & 1 for i in range(n)], dtype=bool)
         if space.nu[mask].sum() > 0.5:
             mask = ~mask
@@ -229,7 +293,4 @@ def min_bipartition_interaction(space: Space) -> float:
         raise ValueError(f"exhaustive scan is limited to n <= {EXACT_ENUM_LIMIT}")
     if space.n < 2:
         raise ValueError("needs at least two points")
-    best = np.inf
-    for _, cut, _ in _bipartition_scan(space):
-        best = min(best, float(cut.min()))
-    return best
+    return min(float(cut.min()) for _, cut, _ in _bipartition_scan(space))

@@ -159,3 +159,26 @@ def rk4_stepwise(P, u0, t):
         k4 = P @ (u + h * k3) - (u + h * k3)
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return u
+
+
+def cheeger_chunked(space):
+    """Exact Cheeger ratio and the lowest subset id attaining it, by the
+    library's former scan: subset ids (point n-1 always outside) in chunks of
+    2**16, the whole chunk's cuts formed at once as b.q - b.Q.b, clipped at
+    zero. The ratio is returned as that evaluation rounds it."""
+    n = space.n
+    nu = space.measure / space.measure.sum()
+    Q = nu[:, None] * space.kernel
+    q = Q.sum(axis=1)
+    best, best_id = np.inf, None
+    for start in range(1, 2 ** (n - 1), 2 ** 16):
+        ids = np.arange(start, min(start + 2 ** 16, 2 ** (n - 1)), dtype=np.uint64)
+        bits = ((ids[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1).astype(float)
+        inner = np.einsum("mi,mi->m", bits @ Q, bits)
+        cut = np.maximum(bits @ q - inner, 0.0)
+        mass = bits @ nu
+        ratio = cut / np.minimum(mass, 1.0 - mass)
+        k = int(np.argmin(ratio))  # first of the chunk's minima
+        if ratio[k] < best:  # an earlier chunk keeps a tie
+            best, best_id = float(ratio[k]), int(ids[k])
+    return best, best_id

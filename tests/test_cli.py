@@ -5,7 +5,7 @@ import pytest
 
 from mrws import Space, space_to_json
 from mrws import curvature
-from mrws.builders import grid_kernel_neumann, k3 as make_k3, p3 as make_p3, two_block
+from mrws.builders import cycle, grid_kernel_neumann, k3 as make_k3, p3 as make_p3, two_block
 from mrws.cli import main
 
 
@@ -97,6 +97,15 @@ def test_cheeger_output(tmp_path, capsys):
     code, obj = run(capsys, ["cheeger", path, "--exact"])
     assert code == 0
     assert obj["exact"] and obj["lower"] == obj["upper"] == 1.0
+
+
+def test_cheeger_exact_on_cycle_reports_the_lowest_tied_set(tmp_path, capsys):
+    # four half arcs tie at 0.25; the subset ids order them, lowest first
+    path = write_space(tmp_path, cycle(8))
+    code, obj = run(capsys, ["cheeger", path, "--exact"])
+    assert code == 0
+    assert obj["upper"] == 0.25
+    assert obj["witness"] == [0, 1, 2, 3]
 
 
 def test_geometry_output(tmp_path, capsys):

@@ -26,7 +26,15 @@ from mrws import (
     wasserstein,
 )
 from mrws import _linalg, curvature
-from mrws.builders import cycle, grid_kernel_neumann, lazy_cycle, p3 as make_p3, random_reversible_space
+from mrws.builders import (
+    cycle,
+    disjoint_union,
+    grid_kernel_neumann,
+    k3 as make_k3,
+    lazy_cycle,
+    p3 as make_p3,
+    random_reversible_space,
+)
 from mrws.curvature import geodesic, kappa_global
 
 import _oracles
@@ -391,6 +399,25 @@ def test_positive_curvature_implies_ergodic(rng):
     for sp in random_spaces(10, rng, connected=False):
         if ollivier_global(sp).kappa_global > 0:
             assert is_ergodic(sp).ergodic
+
+
+def test_several_blocks_never_report_positive_kappa(rng):
+    # kappa > 0 implies ergodicity, so a union of invariant blocks has no
+    # positive global curvature even when every block has one; only the
+    # global value is pinned here, not a curvature per block
+    blocks = []
+    while len(blocks) < 8:
+        sp = random_reversible_space(int(rng.integers(2, 6)), rng, density=0.8)
+        if kappa_global(sp) > 0:
+            blocks.append(sp)
+    unions = [disjoint_union(make_k3(), make_k3())]
+    unions += [disjoint_union(a, b) for a, b in zip(blocks[::2], blocks[1::2])]
+    unions.append(disjoint_union(disjoint_union(blocks[0], blocks[1]), make_k3()))
+    for sp in unions:
+        assert not is_ergodic(sp).ergodic
+        assert kappa_global(sp) <= 0.0
+        assert ollivier_global(sp, "all_pairs").kappa_global <= 0.0
+    assert kappa_global(unions[0]) == 0.0
 
 
 # ---------------------------------------------------------------------------

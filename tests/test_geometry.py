@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,18 +7,30 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mrws import (
+    Space,
     Subset,
     cheeger,
     coarea_decompose,
     dirichlet_energy,
+    geometry,
     interaction,
     mean_curvature,
     median_shift,
+    min_bipartition_interaction,
     perimeter,
     spectral_gap,
     total_variation,
 )
-from mrws.builders import cycle, linear_chain, p3 as make_p3, two_block_halves
+from mrws.builders import (
+    cycle,
+    disjoint_union,
+    k3 as make_k3,
+    lazy_cycle,
+    linear_chain,
+    p3 as make_p3,
+    two_block,
+    two_block_halves,
+)
 
 import _oracles
 from conftest import random_spaces
@@ -303,3 +317,77 @@ def test_half_measure_minimizer_identities():
     u = np.where(a, 1.0, -1.0)
     assert total_variation(sp, u) == pytest.approx(2.0 * pa, abs=1e-14)
     assert dirichlet_energy(sp, u) == pytest.approx(4.0 * pa, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the blocked bipartition scan
+
+
+def _assert_matches_chunked_oracle(sp):
+    ratio, code = _oracles.cheeger_chunked(sp)
+    res = cheeger(sp, mode="exact")
+    mask = np.array([(code >> i) & 1 for i in range(sp.n)], dtype=bool)
+    if _normalized(sp)[mask].sum() > 0.5:
+        mask = ~mask
+    assert res.upper == ratio  # bitwise, not approximately
+    np.testing.assert_array_equal(res.witness_set.mask, mask)
+
+
+def _relabelled(space, seed):
+    perm = np.random.default_rng(seed).permutation(space.n)
+    return Space(tuple(range(space.n)), space.metric[np.ix_(perm, perm)],
+                 space.kernel[np.ix_(perm, perm)], space.measure[perm], space.metric_sentinel)
+
+
+# At 16 low bits the high-block loop first runs at n = 18; fewer make it run
+# on small spaces (TwoBlock, n = 22, takes 10 to keep its 2**11 high patterns
+# quick). In the relabelled 18-cycles, tied half arcs lie in both chunks, and
+# the scan ranks first a set other than the one the chunk evaluation reports.
+@pytest.mark.parametrize("build, low_bits", [
+    (lambda: cycle(8), 3), (lambda: cycle(8), 16), (lambda: cycle(12), 3), (lambda: cycle(12), 16),
+    (make_k3, 3), (make_k3, 16), (lambda: two_block(0.1), 10), (lambda: two_block(0.1), 16),
+    (lambda: _relabelled(cycle(18), 2), 16), (lambda: _relabelled(lazy_cycle(18, 0.3), 2), 16),
+], ids=["cycle8-3", "cycle8-16", "cycle12-3", "cycle12-16", "K3-3", "K3-16", "TwoBlock-10",
+        "TwoBlock-16", "relabelled-cycle18-16", "relabelled-lazy-cycle18-16"])
+def test_exact_cheeger_matches_chunked_oracle(build, low_bits, monkeypatch):
+    monkeypatch.setattr(geometry, "_LOW_BITS", low_bits)
+    _assert_matches_chunked_oracle(build())
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 20), seed=st.integers(0, 2**32 - 1), connected=st.booleans(),
+       low_bits=st.sampled_from([3, 16]))
+def test_exact_cheeger_matches_chunked_oracle_property(n, seed, connected, low_bits):
+    sp = random_spaces(1, np.random.default_rng(seed), n_lo=n, n_hi=n, connected=connected)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_LOW_BITS", low_bits)
+        _assert_matches_chunked_oracle(sp)
+
+
+def _least_perimeter(sp):
+    masks = (np.array([(code >> i) & 1 for i in range(sp.n)], dtype=bool)
+             for code in range(1, 2 ** (sp.n - 1)))
+    return min(_oracles.perimeter_loops(sp, m) for m in masks)
+
+
+@pytest.mark.parametrize("low_bits", [3, 16])
+def test_min_bipartition_interaction_is_least_perimeter(low_bits, rng, monkeypatch):
+    monkeypatch.setattr(geometry, "_LOW_BITS", low_bits)
+    spaces = random_spaces(12, rng, n_lo=2, n_hi=9, connected=False) + [cycle(8), make_k3()]
+    unions = [disjoint_union(make_k3(), make_k3())]
+    unions += [disjoint_union(*random_spaces(2, rng, n_lo=1, n_hi=5)) for _ in range(6)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the empty set is skipped, never divided 0/0
+        for sp in spaces + unions:
+            value = min_bipartition_interaction(sp)
+            assert value == pytest.approx(_least_perimeter(sp), rel=1e-12, abs=1e-15)
+            cheeger(sp, mode="exact")
+        for sp in unions:
+            assert _least_perimeter(sp) == 0.0
+            assert min_bipartition_interaction(sp) == 0.0
+
+
+def test_min_bipartition_interaction_on_two_block():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert min_bipartition_interaction(two_block(0.1)) == 0.0
