@@ -79,8 +79,20 @@ def _load_field(space, path) -> ScalarField:
 
 
 def _parse_index_set(space, text):
-    return [space.index(int(tok)) if tok.strip().lstrip("-").isdigit() else space.index(tok.strip())
-            for tok in text.split(",") if tok.strip()]
+    """Point indices of a comma-separated list. A token names the point whose
+    label prints as it, and is a position only when no label does; a token
+    that is one point's label and another point's position is refused."""
+    out = []
+    for tok in filter(None, (t.strip() for t in text.split(","))):
+        pos = int(tok) if tok.lstrip("-").isdigit() else None
+        named = [i for i, lab in enumerate(space.labels) if str(lab) == tok]
+        if pos is not None and 0 <= pos < space.n and pos not in named:
+            named.append(pos)
+        if len(named) > 1:
+            a, b = (f"point {i} (label {space.labels[i]!r})" for i in named[:2])
+            raise StructuralError(f"point {tok!r} is ambiguous: it names {a} and {b}")
+        out.append(named[0] if named else space.index(tok if pos is None else pos))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ __all__ = [
 
 EXACT_ENUM_LIMIT = 24
 _LOW_BITS = 16  # free points in the low block of the bipartition scan
-_CHUNK = 1 << 16  # subset ids per chunk evaluation, whose rounding cheeger reports
 
 
 def _edge_mass(space: Space) -> np.ndarray:
@@ -189,34 +188,15 @@ def _bipartition_scan(space: Space):
             yield h << w, cut, mass
 
 
-def _chunk_ratios(space: Space, start: int):
-    """Cheeger ratios of the subset ids start, ..., start + _CHUNK - 1, formed
-    from the whole chunk at once: the cut as b.q - b.Q.b, clipped at zero.
-
-    Its rounding depends on the shape of the products, and the reported
-    ratio keeps the rounding of this evaluation.
-    """
-    n = space.n
-    Q = _edge_mass(space)
-    nu = space.nu
-    q = Q.sum(axis=1)
-    ids = np.arange(start, min(start + _CHUNK, 1 << (n - 1)), dtype=np.uint64)
-    bits = _subset_bits(ids, n)
-    inner = np.einsum("mi,mi->m", bits @ Q, bits)
-    cut = np.maximum(bits @ q - inner, 0.0)  # sums of nonnegative masses; scrub cancellation
-    mass = bits @ nu
-    return ids, cut / np.minimum(mass, 1.0 - mass)
-
-
 def cheeger(space: Space, mode: str = "exact") -> CheegerResult:
     """Cheeger constant: least perimeter over the smaller side's mass.
 
     ``exact`` enumerates every bipartition (limited to n <= 24) with
-    ``_bipartition_scan``, then evaluates the chunks that hold a near-least
-    ratio whole with ``_chunk_ratios`` and reports the least of those, with
-    the lowest subset id among ties; ``sweep`` orders points by the second
-    eigenvector and scans prefix cuts, returning an upper bound together with
-    the gap/2 lower bound from the Cheeger inequality.
+    ``_bipartition_scan`` and reports its least ratio, accurate to a few ulps
+    and exactly 0 on an invariant set, with the lowest subset id among ties
+    as the witness (its smaller side by mass); ``sweep`` orders points by the
+    second eigenvector and scans prefix cuts, returning an upper bound
+    together with the gap/2 lower bound from the Cheeger inequality.
     """
     n = space.n
     if n < 2:
@@ -225,30 +205,12 @@ def cheeger(space: Space, mode: str = "exact") -> CheegerResult:
         if n > EXACT_ENUM_LIMIT:
             raise ValueError(
                 f"exact enumeration is limited to n <= {EXACT_ENUM_LIMIT}; use mode='sweep'")
-        # least scanned ratio in each chunk of _CHUNK ids that _chunk_ratios evaluates
-        chunk_min = np.full(((1 << (n - 1)) - 2) // _CHUNK + 1, np.inf)
+        best, best_id = np.inf, None
         for lo, cut, mass in _bipartition_scan(space):
             ratio = cut / np.minimum(mass, 1.0 - mass)
-            # ids lo, lo + 1, ... lie in chunk (id - 1) // _CHUNK; a block spans at most two
-            k = (lo - 1) // _CHUNK
-            split = (k + 1) * _CHUNK + 1 - lo
-            chunk_min[k] = min(chunk_min[k], ratio[:split].min())
-            if split < len(ratio):
-                chunk_min[k + 1] = min(chunk_min[k + 1], ratio[split:].min())
-        # The scan's ratios are accurate to a few ulps. A chunk evaluation rounds
-        # its cut b.q - b.Q.b to within about 3n ulps of the subset mass, which
-        # is at most 1/nu[n-1] times the ratio's denominator, so every subset it
-        # can rank first has a scanned ratio within this slack of the least one.
-        # Those chunks are evaluated whole, as the reported ratio's rounding needs.
-        least, last = chunk_min.min(), space.nu[-1]
-        slack = 4e-12 * least + (32 * n * np.finfo(float).eps / last if last > 0 else np.inf)
-        best = np.inf
-        best_id = None
-        for k in np.flatnonzero(chunk_min <= least + slack):
-            ids, ratio = _chunk_ratios(space, 1 + int(k) * _CHUNK)
-            j = int(np.argmin(ratio))
-            if ratio[j] < best:
-                best, best_id = float(ratio[j]), int(ids[j])
+            j = int(np.argmin(ratio))  # first of the block's minima
+            if ratio[j] < best:  # an earlier block keeps a tie
+                best, best_id = float(ratio[j]), lo + j
         mask = np.array([(best_id >> i) & 1 for i in range(n)], dtype=bool)
         if space.nu[mask].sum() > 0.5:
             mask = ~mask

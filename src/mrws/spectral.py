@@ -103,6 +103,8 @@ def verify_poincare_decay(space: Space, trials: int, rng=None, times=(0.5, 1.0, 
     positive part of the signed discrepancy). Values at most 1 + 1e-9 confirm
     the decay estimates.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1 (got {trials})")
     report = spectral_gap(space)
     if report.gap <= 0:
         raise HypothesisError("gap is 0; decay bound vacuous")

@@ -164,14 +164,17 @@ def divergences(space: Space, density) -> DivergenceStats:
 # inequality verification
 
 
-def random_density(space: Space, rng: np.random.Generator, point_mass_prob: float = 0.3) -> np.ndarray:
+_POINT_MASS_PROB = 0.3  # share of random densities that are point masses
+
+
+def random_density(space: Space, rng: np.random.Generator) -> np.ndarray:
     """Sample a probability density w.r.t. the normalized measure.
 
     Mixes pure point masses (which stress transport inequalities hardest)
     with smooth exponential tilts.
     """
     nu = space.nu
-    if rng.random() < point_mass_prob:
+    if rng.random() < _POINT_MASS_PROB:
         x = int(rng.integers(space.n))
         f = np.zeros(space.n)
         f[x] = 1.0 / nu[x]
@@ -203,6 +206,8 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
     the random densities (a block indicator has zero information but positive
     transport cost, so every finite information constant fails on it).
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1 (got {trials})")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     from .connectivity import invariant_blocks

@@ -165,7 +165,9 @@ def cheeger_chunked(space):
     """Exact Cheeger ratio and the lowest subset id attaining it, by the
     library's former scan: subset ids (point n-1 always outside) in chunks of
     2**16, the whole chunk's cuts formed at once as b.q - b.Q.b, clipped at
-    zero. The ratio is returned as that evaluation rounds it."""
+    zero. That formula cancels, so the ratio is a reference within its error
+    bound (about 32 n eps / nu[n-1]), not to the bit, and a tied set may be
+    ranked first by its rounding."""
     n = space.n
     nu = space.measure / space.measure.sum()
     Q = nu[:, None] * space.kernel

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mrws import Space, space_to_json
-from mrws import curvature
+from mrws import curvature, geometry
 from mrws.builders import cycle, grid_kernel_neumann, k3 as make_k3, p3 as make_p3, two_block
 from mrws.cli import main
 
@@ -108,6 +108,13 @@ def test_cheeger_exact_on_cycle_reports_the_lowest_tied_set(tmp_path, capsys):
     assert obj["witness"] == [0, 1, 2, 3]
 
 
+def test_cheeger_exact_prints_the_scan_ratio(tmp_path, capsys):
+    path = write_space(tmp_path, cycle(12))
+    assert main(["cheeger", path, "--exact"]) == 0
+    # 1/6 to the bit; the former chunk formula printed 0.16666666666666674
+    assert '"upper":0.16666666666666666' in capsys.readouterr().out
+
+
 def test_geometry_output(tmp_path, capsys):
     path = write_space(tmp_path, make_p3())
     code, obj = run(capsys, ["geometry", path, "--set", "0"])
@@ -115,6 +122,42 @@ def test_geometry_output(tmp_path, capsys):
     assert obj["perimeter"] == pytest.approx(0.25)
     assert obj["interaction_complement"] == pytest.approx(0.25)
     assert obj["mean_curvature"] == pytest.approx([1.0, 0.0, 1.0])
+
+
+def test_set_takes_labels_before_positions(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("1,2,1\n2,3,1\n3,4,1\n")  # labels "1".."4" at positions 0..3
+    code, obj = run(capsys, ["build", "graph", str(edges)])
+    path = tmp_path / "p4.json"
+    path.write_text(json.dumps(obj))
+    code, obj = run(capsys, ["geometry", str(path), "--set", "4"])
+    assert code == 0
+    assert obj["perimeter"] == pytest.approx(1 / 6)  # the end point labelled "4"
+    assert obj["mean_curvature"] == pytest.approx([1.0, 1.0, 0.0, 1.0])
+    # "1" is the label of position 0 and also position 1, the point labelled "2"
+    assert main(["geometry", str(path), "--set", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "ambiguous" in err and "'1'" in err and "'2'" in err
+
+
+def test_set_with_string_labels(tmp_path, capsys):
+    path = write_space(tmp_path, make_p3())  # labels "a", "b", "c"
+    code, obj = run(capsys, ["geometry", path, "--set", "b"])
+    assert code == 0
+    assert obj["perimeter"] == pytest.approx(0.5)
+    code, by_position = run(capsys, ["geometry", path, "--set", "1"])
+    assert (code, by_position) == (0, obj)
+    assert run(capsys, ["geometry", path, "--set", "d"])[0] == 1
+    assert run(capsys, ["geometry", path, "--set", "3"])[0] == 1
+
+
+def test_set_on_a_grid_is_still_a_position(tmp_path, capsys):
+    grid = grid_kernel_neumann([(0, 1)], h=0.25, radius=0.3)  # labels 0.0, 0.25, ...
+    path = write_space(tmp_path, grid)
+    code, obj = run(capsys, ["geometry", path, "--set", "0"])
+    assert code == 0
+    assert run(capsys, ["geometry", path, "--set", "0.0"]) == (0, obj)
+    assert obj["mean_curvature"] == pytest.approx(geometry.mean_curvature(grid, [0]).values.tolist())
 
 
 def test_curvature_output(tmp_path, capsys):
@@ -163,6 +206,15 @@ def test_verify_ok_and_hypothesis_failure(tmp_path, capsys):
 
     code, _ = run(capsys, ["verify", p3path, "--inequality", "ti_ollivier", "--trials", "5"])
     assert code == 3  # zero curvature on the path graph
+
+
+def test_verifiers_reject_a_trial_count_below_one(tmp_path, capsys):
+    path = write_space(tmp_path, make_k3())
+    assert run(capsys, ["verify", path, "--inequality", "ti_ollivier", "--trials", "-3"]) == (1, None)
+    assert run(capsys, ["verify", path, "--inequality", "te", "--trials", "0"]) == (1, None)
+    assert main(["analyze", path, "--trials", "-2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "trials" in err
 
 
 def test_analyze_p3(tmp_path, capsys):

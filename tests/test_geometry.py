@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -324,13 +325,19 @@ def test_half_measure_minimizer_identities():
 
 
 def _assert_matches_chunked_oracle(sp):
-    ratio, code = _oracles.cheeger_chunked(sp)
+    ratio, _ = _oracles.cheeger_chunked(sp)
     res = cheeger(sp, mode="exact")
-    mask = np.array([(code >> i) & 1 for i in range(sp.n)], dtype=bool)
-    if _normalized(sp)[mask].sum() > 0.5:
-        mask = ~mask
-    assert res.upper == ratio  # bitwise, not approximately
-    np.testing.assert_array_equal(res.witness_set.mask, mask)
+    n, nu, eps = sp.n, sp.nu, np.finfo(float).eps
+    # the oracle's b.q - b.Q.b cancels; this is that formula's own error bound
+    assert abs(res.upper - ratio) <= 4e-12 * ratio + 32 * n * eps / nu[-1]
+    # the witness attains the reported ratio, recomputed without cancellation
+    mask = res.witness_set.mask
+    cut = math.fsum((nu[:, None] * sp.kernel)[np.ix_(mask, ~mask)].ravel())
+    witness_ratio = cut / min(math.fsum(nu[mask]), math.fsum(nu[~mask]))
+    if witness_ratio == 0.0:
+        assert res.upper == 0.0
+    else:
+        assert abs(res.upper - witness_ratio) <= 4 * n * eps * witness_ratio
 
 
 def _relabelled(space, seed):
@@ -341,8 +348,8 @@ def _relabelled(space, seed):
 
 # At 16 low bits the high-block loop first runs at n = 18; fewer make it run
 # on small spaces (TwoBlock, n = 22, takes 10 to keep its 2**11 high patterns
-# quick). In the relabelled 18-cycles, tied half arcs lie in both chunks, and
-# the scan ranks first a set other than the one the chunk evaluation reports.
+# quick). In the relabelled 18-cycles, tied half arcs lie in both high
+# patterns, and the witness may be a half arc other than the oracle's.
 @pytest.mark.parametrize("build, low_bits", [
     (lambda: cycle(8), 3), (lambda: cycle(8), 16), (lambda: cycle(12), 3), (lambda: cycle(12), 16),
     (make_k3, 3), (make_k3, 16), (lambda: two_block(0.1), 10), (lambda: two_block(0.1), 16),
@@ -362,6 +369,12 @@ def test_exact_cheeger_matches_chunked_oracle_property(n, seed, connected, low_b
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_LOW_BITS", low_bits)
         _assert_matches_chunked_oracle(sp)
+
+
+@pytest.mark.parametrize("n", [12, 18, 20, 22])
+def test_exact_cheeger_on_cycle_is_the_exact_rational(n):
+    # a half arc cuts two edges of mass 1/(2n) each and has mass 1/2
+    assert cheeger(cycle(n), mode="exact").upper == 2 / n
 
 
 def _least_perimeter(sp):
@@ -385,6 +398,7 @@ def test_min_bipartition_interaction_is_least_perimeter(low_bits, rng, monkeypat
         for sp in unions:
             assert _least_perimeter(sp) == 0.0
             assert min_bipartition_interaction(sp) == 0.0
+            assert cheeger(sp, mode="exact").upper == 0.0
 
 
 def test_min_bipartition_interaction_on_two_block():

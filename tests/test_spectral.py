@@ -206,6 +206,14 @@ def test_decay_requires_ergodicity(two_block):
         verify_poincare_decay(two_block, trials=1)
 
 
+def test_decay_rejects_a_trial_count_below_one(p3, two_block):
+    for trials in (0, -2):
+        with pytest.raises(ValueError, match="trials"):
+            verify_poincare_decay(p3, trials=trials)
+    with pytest.raises(ValueError, match="trials"):  # before the gap is checked
+        verify_poincare_decay(two_block, trials=0)
+
+
 def test_tv_distance_bound_enumerated(rng):
     # the operation checks the total-variation bound via the extremal event;
     # cross-check against brute-force enumeration of all events for small n

@@ -209,6 +209,17 @@ def test_hypothesis_failures_are_reported(p3, two_block):
         verify_transport_inequality(two_block, "ti_ollivier", trials=1)
 
 
+def test_verifier_rejects_a_trial_count_below_one(k3, two_block):
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials"):
+            verify_transport_inequality(k3, "ti_ollivier", trials=trials)
+    # before the kind and the curvature hypotheses are checked
+    with pytest.raises(ValueError, match="trials"):
+        verify_transport_inequality(k3, "bogus", trials=0)
+    with pytest.raises(ValueError, match="trials"):
+        verify_transport_inequality(two_block, "ti_ollivier", trials=0)
+
+
 def test_ti_ollivier_skipped_above_all_pairs_limit():
     grid = grid_kernel_neumann([(0.0, 1.0)], h=1 / 300, radius=0.005)
     assert grid.n == 301  # one more than ALL_PAIRS_LIMIT
