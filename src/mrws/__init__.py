@@ -64,7 +64,6 @@ from .curvature import (
     be_best_constant,
     gamma,
     gamma2,
-    geodesic,
     gradient_estimate_check,
     kappa_global,
     lipschitz_contraction_check,

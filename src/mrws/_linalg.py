@@ -4,7 +4,7 @@
 as the space lives; arrays in memoized results are read-only, as callers share
 them. Reversibility makes S = D^{1/2} P D^{-1/2} symmetric (D = diag of the
 normalized measure), so one symmetric eigendecomposition serves the heat
-semigroup, the spectral gap, ergodicity counts and curvature bounds alike.
+semigroup, the spectral gap and curvature bounds alike.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ import numpy as np
 from .core import Space, _readonly
 
 _MEMO: "weakref.WeakKeyDictionary[Space, dict]" = weakref.WeakKeyDictionary()
-
-# Eigenvalue-1 multiplicity threshold for the symmetrized kernel.
-KERNEL_DIM_TOL = 1e-10
 
 
 def memo(space: Space, key, fn):
@@ -45,13 +42,6 @@ def decomposition(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _readonly((1.0 - mu)[::-1]), _readonly(U[:, ::-1]), _readonly(s)
 
     return memo(space, "decomposition", compute)
-
-
-def kernel_dimension(space: Space) -> int:
-    """Multiplicity of eigenvalue 1 of the symmetrized kernel (= dim ker of
-    the generator)."""
-    lam, _, _ = decomposition(space)
-    return int(np.count_nonzero(np.abs(lam) <= KERNEL_DIM_TOL))
 
 
 def heat_apply(space: Space, values: np.ndarray, t: float) -> np.ndarray:

@@ -358,8 +358,6 @@ def fixture(name: str) -> Space:
     base = base.strip()
     if base not in _FIXTURES:
         raise StructuralError(f"unknown fixture {base!r} (have {sorted(_FIXTURES)})")
-    if base == "TwoBlock":
-        return two_block(*args)
     return _FIXTURES[base](*(int(a) if float(a).is_integer() else a for a in args))
 
 

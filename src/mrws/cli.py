@@ -212,6 +212,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"trials must be at least 1 (got {args.trials})")
     with open(args.space, "rb") as fh:
         raw = fh.read()
     space = space_from_json(json.loads(raw.decode()))
@@ -243,7 +245,7 @@ def _cmd_analyze(args) -> int:
         be[tok] = clock(f"be_{tok}", lambda t=tok: curvature.be_best_constant(space, float(t))).k_best_global
     kappa = clock("ollivier", lambda: curvature.kappa_global(space))
     curv = {"kappa_global": kappa, "be": be}
-    if kappa is None:  # non-geodesic metric above the all-pairs limit: edges bound kappa above
+    if kappa is None:  # over the pair LP budget: the support edges bound kappa above
         curv["kappa_upper_bound"] = clock("ollivier_edges", lambda: curvature.ollivier_global(
             space, "support_edges")).kappa_global
 

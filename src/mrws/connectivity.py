@@ -13,7 +13,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from . import _linalg
 from .core import ScalarField, Space, Subset, as_mask
 
 __all__ = [
@@ -59,10 +58,22 @@ def reachability(space: Space, d) -> ReachabilityResult:
     return ReachabilityResult(Subset(space, ~h_mask), Subset(space, h_mask), first_hit)
 
 
+def _strong_components(space: Space):
+    """(count, labels) of the strongly connected components of the support
+    digraph. The graph is handed over with float weights and int32 index
+    arrays built directly: scipy converts anything else on every call, which
+    on a small space costs several times the search itself."""
+    rows, cols = np.nonzero(space.kernel > 0)
+    indptr = np.searchsorted(rows, np.arange(space.n + 1)).astype(np.int32)
+    graph = csr_matrix((np.ones(cols.size), cols.astype(np.int32), indptr),
+                       shape=(space.n, space.n))
+    return connected_components(graph, connection="strong")
+
+
 def is_m_connected(space: Space) -> bool:
     """True when every positive-measure set is reachable from everywhere,
     i.e. the support digraph is strongly connected."""
-    ncomp, _ = connected_components(csr_matrix(space.kernel > 0), connection="strong")
+    ncomp, _ = _strong_components(space)
     return int(ncomp) == 1
 
 
@@ -74,20 +85,17 @@ class ErgodicityResult:
 
 
 def is_ergodic(space: Space) -> ErgodicityResult:
-    """Spectral ergodicity test: the generator kernel is one-dimensional.
+    """Ergodicity test: the space is one invariant block.
 
-    ``kernel_dim`` counts eigenvalues of the symmetrized kernel within 1e-10
-    of 1. When it exceeds one, the indicator of an invariant block is returned
-    as an explicit nonconstant harmonic witness.
+    ``kernel_dim`` is the number of blocks, the generator's kernel dimension
+    on a reversible space, counted without an eigenvalue threshold. When it
+    exceeds one, the indicator of the first block is the nonconstant harmonic
+    witness.
     """
-    dim = _linalg.kernel_dimension(space)
-    if dim == 1:
-        return ErgodicityResult(True, 1, None)
-    blocks = invariant_blocks(space).blocks
-    witness = None
-    if len(blocks) > 1:
-        witness = ScalarField(space, blocks[0].mask.astype(float))
-    return ErgodicityResult(False, dim, witness)
+    blocks = invariant_blocks(space)
+    one = blocks.count == 1
+    witness = None if one else ScalarField(space, blocks.blocks[0].mask.astype(float))
+    return ErgodicityResult(one, blocks.count, witness)
 
 
 @dataclass(frozen=True)
@@ -102,12 +110,9 @@ def invariant_blocks(space: Space) -> BlockDecomposition:
     For reversible kernels with full-support measure these partition the
     space and their number equals the kernel dimension of the generator.
     """
-    adj = space.kernel > 0
-    ncomp, labels = connected_components(csr_matrix(adj), connection="strong")
-    blocks = []
-    for c in range(ncomp):
-        mask = labels == c
-        if not space.kernel[np.ix_(mask, ~mask)].any():  # closed: no escaping mass
-            blocks.append(Subset(space, mask))
-    blocks.sort(key=lambda b: int(b.indices[0]))
+    ncomp, labels = _strong_components(space)
+    leaving = ((space.kernel != 0) & (labels[:, None] != labels[None, :])).any(axis=1)
+    open_class = np.bincount(labels, weights=leaving, minlength=ncomp) > 0  # mass escapes
+    _, first = np.unique(labels, return_index=True)
+    blocks = [Subset(space, labels == c) for c in np.argsort(first) if not open_class[c]]
     return BlockDecomposition(blocks, len(blocks))

@@ -26,16 +26,15 @@ __all__ = [
     "OllivierResult",
     "ollivier_kappa",
     "ollivier_global",
-    "geodesic",
     "kappa_global",
     "gradient_estimate_check",
     "lipschitz_contraction_check",
 ]
 
-# Largest space on which the all-pairs curvature (n(n-1)/2 transport LPs) runs.
+# Largest space on which the all-pairs curvature (n(n-1)/2 transport LPs) runs;
+# its pair count is also the most pair LPs ``kappa_global`` solves.
 ALL_PAIRS_LIMIT = 300
-# Relative slack within which the metric must equal its path metric over the
-# support graph for the support edges to give the global curvature.
+# Relative slack within which a jump target counts as lying between two points.
 GEODESIC_RTOL = 1e-12
 
 
@@ -165,29 +164,32 @@ def be_best_constant(space: Space, n_param: float) -> BEResult:
 
 def ollivier_kappa(space: Space, x, y) -> float:
     """Coarse Ricci curvature along a pair: one minus the transport distance
-    of the two jump laws relative to the points' own distance."""
-    i, j = space.index(x), space.index(y)
+    of the two jump laws relative to the points' own distance. Memoized per
+    space and unordered pair."""
+    i, j = sorted((space.index(x), space.index(y)))
     if i == j:
         raise ValueError("curvature needs two distinct points")
-    w1 = wasserstein(space, space.kernel[i], space.kernel[j], p=1).cost
-    return 1.0 - w1 / float(space.metric[i, j])
+
+    def compute():
+        w1 = wasserstein(space, space.kernel[i], space.kernel[j], p=1).cost
+        return 1.0 - w1 / float(space.metric[i, j])
+
+    return _linalg.memo(space, ("kappa", i, j), compute)
 
 
 @dataclass(frozen=True)
 class OllivierResult:
     kappa_pairs: MappingProxyType  # read-only, (i, j) with i < j -> kappa
     kappa_global: float
-    pair_policy: str
 
 
 def ollivier_global(space: Space, policy: str = "all_pairs") -> OllivierResult:
     """Infimum of the pairwise curvature over a pair family.
 
     ``all_pairs`` is the faithful global value (guarded to n <=
-    ALL_PAIRS_LIMIT); ``support_edges`` restricts to kernel-adjacent pairs. The
-    edge infimum bounds the global one from above, and is exact on geodesic
-    metrics (see ``geodesic``). The all-pairs family reuses the edge results,
-    so no pair is solved twice. Memoized per space and policy.
+    ALL_PAIRS_LIMIT); ``support_edges`` restricts to kernel-adjacent pairs,
+    whose infimum bounds the global one from above. Memoized per space and
+    policy.
     """
     if policy not in ("all_pairs", "support_edges"):
         raise ValueError("policy must be 'all_pairs' or 'support_edges'")
@@ -197,54 +199,55 @@ def ollivier_global(space: Space, policy: str = "all_pairs") -> OllivierResult:
                          "use policy='support_edges'")
 
     def compute():
-        if policy == "all_pairs":
-            edges = ollivier_global(space, "support_edges").kappa_pairs
-            kappa_pairs = {(i, j): edges[i, j] if (i, j) in edges else ollivier_kappa(space, i, j)
-                           for i in range(n) for j in range(i + 1, n)}
-        else:
-            adj = (space.kernel > 0) | (space.kernel.T > 0)
-            kappa_pairs = {(i, j): ollivier_kappa(space, i, j)
-                           for i in range(n) for j in range(i + 1, n) if adj[i, j]}
+        adj = (space.kernel > 0) | (space.kernel.T > 0)
+        kappa_pairs = {(i, j): ollivier_kappa(space, i, j)
+                       for i in range(n) for j in range(i + 1, n)
+                       if policy == "all_pairs" or adj[i, j]}
         return OllivierResult(MappingProxyType(kappa_pairs),
-                              float(min(kappa_pairs.values(), default=math.inf)), policy)
+                              float(min(kappa_pairs.values(), default=math.inf)))
 
     return _linalg.memo(space, ("ollivier", policy), compute)
 
 
-def geodesic(space: Space) -> bool:
-    """Whether the metric is the path metric of the kernel's support graph.
+def _needed_pairs(space: Space) -> tuple:
+    """Pairs (i, j), i < j, between which no jump target z of i or of j (z not
+    in {i, j}) lies: none has d(i,z) + d(z,j) <= d(i,j) (1 + GEODESIC_RTOL).
 
-    Support edges are weighted by the metric itself, and every shortest-path
-    distance must equal the metric within a relative GEODESIC_RTOL (pairs the
-    support graph does not join fail). Then W1 is subadditive along a
-    geodesic of support edges, so the curvature of every pair is at least the
-    least edge curvature (Ollivier, JFA 2009, Prop. 19): the support-edge
-    infimum is the global one, with an error of at most GEODESIC_RTOL *
-    (1 - kappa) beyond the roundoff of the pair LPs. Memoized per space.
+    W1 is a metric (Ollivier, JFA 2009, Prop. 19), so a pair split by z has
+    1 - kappa(i,j) <= (1 + GEODESIC_RTOL)(1 - min(kappa(i,z), kappa(z,j))),
+    with both parts shorter. Every pair thus splits down to this family, whose
+    least curvature is the global infimum; each split gives up at most a
+    factor (1 + GEODESIC_RTOL) on 1 - kappa. On the path metric of the support
+    graph the family lies within the support edges. One (|N(i)|, n) block per
+    point, O(n |E|) in all. Memoized per space.
     """
     def compute():
-        from scipy.sparse.csgraph import shortest_path
-
         d = space.metric
-        edges = ((space.kernel > 0) | (space.kernel.T > 0)) & (d > 0)
-        dist = shortest_path(np.where(edges, d, 0.0), method="D", directed=False)
-        return bool(np.all(np.abs(dist - d) <= GEODESIC_RTOL * d))
+        adj = ((space.kernel > 0) | (space.kernel.T > 0)) & ~np.eye(space.n, dtype=bool)
+        split = np.zeros((space.n, space.n), dtype=bool)
+        for i in range(space.n):
+            N = np.flatnonzero(adj[i])
+            between = d[i, N][:, None] + d[N] <= d[i] * (1.0 + GEODESIC_RTOL)
+            between[np.arange(N.size), N] = False  # z = j
+            split[i] = between.any(axis=0)
+        i, j = np.nonzero(np.triu(~(split | split.T), k=1))
+        return tuple(zip(i.tolist(), j.tolist()))
 
-    return _linalg.memo(space, "geodesic", compute)
+    return _linalg.memo(space, "needed_pairs", compute)
 
 
 def kappa_global(space: Space) -> float | None:
-    """Global coarse Ricci curvature, from the support edges alone when the
-    metric is geodesic and from all pairs otherwise.
+    """Global coarse Ricci curvature: the least pair curvature over
+    ``_needed_pairs``, exact on every metric up to the split bound there.
 
-    None on a non-geodesic metric above ALL_PAIRS_LIMIT, where the exact
-    value is out of reach and the edge infimum only bounds it from above.
+    None when that family has more pairs than all pairs have at
+    ALL_PAIRS_LIMIT points; the support-edge infimum then only bounds the
+    value from above.
     """
-    if geodesic(space):
-        return ollivier_global(space, "support_edges").kappa_global
-    if space.n > ALL_PAIRS_LIMIT:
+    pairs = _needed_pairs(space)
+    if len(pairs) > ALL_PAIRS_LIMIT * (ALL_PAIRS_LIMIT - 1) // 2:
         return None
-    return ollivier_global(space, "all_pairs").kappa_global
+    return float(min((ollivier_kappa(space, i, j) for i, j in pairs), default=math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +294,8 @@ def lipschitz_contraction_check(space: Space, samples: int, times=(0.5, 2.0, 8.0
     if kappa is None:
         kappa = kappa_global(space)
         if kappa is None:
-            raise ValueError(f"the global curvature of a non-geodesic metric needs all pairs, "
-                             f"limited to n <= {ALL_PAIRS_LIMIT}; pass kappa")
+            raise ValueError("the global curvature needs more pair LPs than all pairs at "
+                             f"n = {ALL_PAIRS_LIMIT}; pass kappa")
     rng = np.random.default_rng(rng)
     worst = 0.0
     for _ in range(samples):

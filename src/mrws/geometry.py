@@ -141,7 +141,6 @@ class CheegerResult:
     upper: float
     exact: bool
     witness_set: Subset
-    method: str
 
 
 def _subset_bits(ids: np.ndarray, width: int) -> np.ndarray:
@@ -214,7 +213,7 @@ def cheeger(space: Space, mode: str = "exact") -> CheegerResult:
         mask = np.array([(best_id >> i) & 1 for i in range(n)], dtype=bool)
         if space.nu[mask].sum() > 0.5:
             mask = ~mask
-        return CheegerResult(best, best, True, Subset(space, mask), "exact")
+        return CheegerResult(best, best, True, Subset(space, mask))
 
     if mode != "sweep":
         raise ValueError("mode must be 'exact' or 'sweep'")
@@ -245,7 +244,7 @@ def cheeger(space: Space, mode: str = "exact") -> CheegerResult:
     if nu[mask].sum() > 0.5:
         mask = ~mask
     lower = spectral_gap(space).gap / 2.0
-    return CheegerResult(float(lower), best, False, Subset(space, mask), "sweep")
+    return CheegerResult(float(lower), best, False, Subset(space, mask))
 
 
 def min_bipartition_interaction(space: Space) -> float:

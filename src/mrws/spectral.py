@@ -1,9 +1,9 @@
 """Dirichlet energy, variance, spectral gap, and decay-rate verification.
 
 The gap is the infimum of energy over variance; on the mean-zero subspace it
-is the smallest eigenvalue of the symmetrized generator when that generator
-has a one-dimensional kernel, and zero otherwise (a nonconstant harmonic
-function makes the infimum vanish).
+is the smallest eigenvalue of the symmetrized generator when the space is one
+invariant block (a one-dimensional kernel), and zero otherwise (a
+nonconstant harmonic function makes the infimum vanish).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
+from .connectivity import invariant_blocks
 from .core import HypothesisError, Space, as_values
 from .heat import heat_evolve
 
@@ -60,15 +61,13 @@ def spectral_gap(space: Space, fit_decay: bool = False) -> SpectralReport:
     ``gap_ibe`` is the best lambda with lambda * energy(f) <= ||generator
     f||^2 for all f, which for an ergodic space coincides with the gap (both
     equal the smallest nonzero eigenvalue); it is reported only in that case.
+    ``kernel_dim`` is the number of invariant blocks (``invariant_blocks``).
     """
     lam, _, _ = _linalg.decomposition(space)
-    kernel_dim = _linalg.kernel_dimension(space)
-    if kernel_dim == 1 and space.n > 1:
-        gap = float(lam[1])
-        gap_ibe = gap
-    else:
-        gap = 0.0
-        gap_ibe = None
+    kernel_dim = invariant_blocks(space).count
+    ergodic = kernel_dim == 1 and space.n > 1
+    gap = max(float(lam[1]), 0.0) if ergodic else 0.0
+    gap_ibe = gap if ergodic else None
     fit = _fit_decay_rate(space, gap) if (fit_decay and gap > 0) else None
     return SpectralReport(gap, lam, gap_ibe, fit, kernel_dim)
 

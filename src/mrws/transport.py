@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
+from . import _linalg
 from .core import HypothesisError, Space, as_values
 from .spectral import dirichlet_energy
 
@@ -193,8 +194,8 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
     ti_be        W1(f nu, nu) <= sqrt(2 theta_m)/K * sqrt(I(f))   for the best
                  curvature-dimension constant K = K(infinity) > 0.
     ti_ollivier  same with K replaced by the coarse Ricci curvature kappa > 0
-                 (``curvature.kappa_global``; on a non-geodesic metric it needs
-                 all pairs, so n <= curvature.ALL_PAIRS_LIMIT).
+                 (``curvature.kappa_global``, which takes no more pair LPs
+                 than all pairs at n = curvature.ALL_PAIRS_LIMIT).
     te           W1(f nu, nu) <= sqrt( sqrt(2 theta_m)/K_TI * Ent(f) ) where
                  1/K_TI is the best available transport-information constant
                  (from K(infinity) alone where kappa is out of reach).
@@ -204,7 +205,8 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
     inequalities themselves are then false; to surface this reliably, the
     normalized indicator of each invariant block is always tried alongside
     the random densities (a block indicator has zero information but positive
-    transport cost, so every finite information constant fails on it).
+    transport cost, so every finite information constant fails on it). Each
+    density's W1(f nu, nu) is memoized per space, so the three kinds share it.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1 (got {trials})")
@@ -228,8 +230,8 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
         k = kappa_global(space)
         if k is None:
             if kind == "ti_ollivier":
-                raise HypothesisError("coarse Ricci curvature of a non-geodesic metric needs "
-                                      f"all pairs, limited to n <= {ALL_PAIRS_LIMIT}")
+                raise HypothesisError("coarse Ricci curvature needs more pair LPs than all pairs "
+                                      f"at n = {ALL_PAIRS_LIMIT}")
         elif np.isfinite(k) and k > 0:
             kappa = float(k)
         elif kind == "ti_ollivier":
@@ -250,7 +252,8 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
 
     worst = 0.0
     for f in densities:
-        lhs = wasserstein(space, f * nu, nu, p=1).cost
+        lhs = _linalg.memo(space, ("w1_to_nu", f.tobytes()),
+                           lambda: wasserstein(space, f * nu, nu, p=1).cost)
         if kind == "te":
             rhs = np.sqrt(root2theta / k_ti * max(divergences(space, f).entropy, 0.0))
         else:

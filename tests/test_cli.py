@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from mrws import Space, space_to_json
-from mrws import curvature, geometry
-from mrws.builders import cycle, grid_kernel_neumann, k3 as make_k3, p3 as make_p3, two_block
+from mrws import cli, curvature, geometry
+from mrws.builders import (cycle, grid_kernel_neumann, k3 as make_k3, lazy_cycle, p3 as make_p3,
+                           two_block)
 from mrws.cli import main
 
 
@@ -217,6 +218,36 @@ def test_verifiers_reject_a_trial_count_below_one(tmp_path, capsys):
     assert out == "" and "trials" in err
 
 
+def test_analyze_rejects_a_trial_count_below_one_before_any_work(tmp_path, capsys, monkeypatch):
+    def fail(space):
+        raise AssertionError("validate_space ran")
+
+    monkeypatch.setattr(cli, "validate_space", fail)
+    path = write_space(tmp_path, make_k3())
+    for trials in ("0", "-2"):
+        assert main(["analyze", path, "--trials", trials]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "trials" in err
+
+
+def test_weakly_joined_triangles_are_one_block(tmp_path, capsys):
+    # the joining edge puts an eigenvalue 3.3e-12 above 0: ergodic, with that gap
+    edges = tmp_path / "edges.csv"
+    edges.write_text("a,b,1\nb,c,1\na,c,1\nd,e,1\ne,f,1\nd,f,1\nc,d,1e-11\n")
+    code, obj = run(capsys, ["build", "graph", str(edges)])
+    assert code == 0
+    path = tmp_path / "triangles.json"
+    path.write_text(json.dumps(obj))
+    code, conn = run(capsys, ["connect", str(path)])
+    assert code == 0
+    assert conn["blocks"] == [[0, 1, 2, 3, 4, 5]] and conn["m_connected"]
+    assert conn["ergodic"] is True
+    code, spec = run(capsys, ["spectral", str(path)])
+    assert code == 0
+    assert spec["kernel_dim"] == 1
+    assert spec["gap"] == spec["spectrum"][1] == pytest.approx(3.33e-12, rel=1e-3)
+
+
 def test_analyze_p3(tmp_path, capsys):
     path = write_space(tmp_path, make_p3())
     code, obj = run(capsys, ["analyze", path])
@@ -252,11 +283,11 @@ def test_analyze_above_all_pairs_limit(tmp_path, capsys, monkeypatch):
 
 
 def test_analyze_above_all_pairs_limit_on_geodesic_metric(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(curvature, "ALL_PAIRS_LIMIT", 2)
-    path = write_space(tmp_path, make_k3())  # support edges give the exact kappa
+    monkeypatch.setattr(curvature, "ALL_PAIRS_LIMIT", 4)  # 5 points; a budget of 6 pair LPs
+    path = write_space(tmp_path, lazy_cycle(5, 0.5))  # the 5 edges give the exact kappa
     code, obj = run(capsys, ["analyze", path, "--trials", "5"])
     assert code == 0
-    assert obj["curvature"]["kappa_global"] == pytest.approx(0.5, abs=1e-12)
+    assert obj["curvature"]["kappa_global"] == pytest.approx(0.25, abs=1e-12)
     assert "kappa_upper_bound" not in obj["curvature"]
     assert obj["transport"]["max_ratios"]["ti_ollivier"] <= 1.0 + 1e-9
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mrws import (
+    Space,
     Subset,
     disjoint_union,
     invariant_blocks,
@@ -9,6 +10,7 @@ from mrws import (
     is_m_connected,
     min_bipartition_interaction,
     reachability,
+    spectral_gap,
 )
 from mrws.builders import lazy_cycle, two_block_halves
 
@@ -121,6 +123,17 @@ def test_blocks_partition_space(rng):
             assert sp.kernel[np.ix_(b.mask, ~b.mask)].max() == 0.0 if (~b.mask).any() else True
 
 
+def test_blocks_skip_open_classes_and_follow_point_order():
+    # a leaks into the absorbing points b and c: its class is open, and the
+    # closed ones come in the order of their first point
+    K = np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    sp = Space(("a", "b", "c"), d, K, np.ones(3))
+    blocks = invariant_blocks(sp)
+    assert [b.indices.tolist() for b in blocks.blocks] == [[1], [2]]
+    assert blocks.count == is_ergodic(sp).kernel_dim == 2
+
+
 def test_equivalence_chain(rng):
     spaces = random_spaces(15, rng, n_hi=10) + random_spaces(10, rng, n_hi=5, connected=False)
     for a, b in zip(random_spaces(5, rng, n_hi=5), random_spaces(5, rng, n_hi=5)):
@@ -129,6 +142,8 @@ def test_equivalence_chain(rng):
         conn = is_m_connected(sp)
         assert conn == is_ergodic(sp).ergodic
         assert conn == (invariant_blocks(sp).count == 1)
+        # the blocks count the generator's kernel, which is spectral
+        assert np.count_nonzero(spectral_gap(sp).spectrum <= 1e-10) == invariant_blocks(sp).count
         if 2 <= sp.n <= 12:
             assert conn == (min_bipartition_interaction(sp) > 0)
 

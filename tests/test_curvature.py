@@ -27,15 +27,18 @@ from mrws import (
 )
 from mrws import _linalg, curvature
 from mrws.builders import (
+    PointCloud,
     cycle,
     disjoint_union,
+    epsilon_step_from_point_cloud,
     grid_kernel_neumann,
     k3 as make_k3,
     lazy_cycle,
     p3 as make_p3,
     random_reversible_space,
+    two_block as make_two_block,
 )
-from mrws.curvature import geodesic, kappa_global
+from mrws.curvature import _needed_pairs, kappa_global
 
 import _oracles
 from conftest import random_spaces
@@ -246,7 +249,7 @@ def test_all_pairs_guard(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# global curvature from support edges on geodesic metrics
+# global curvature from the pairs no jump target splits
 
 
 def _p3_shortcut():
@@ -257,12 +260,19 @@ def _p3_shortcut():
     return Space(p3.labels, d, p3.kernel, p3.measure)
 
 
-def _count_kappa_pairs(monkeypatch):
+def _count_lps(monkeypatch):
+    """Records the two marginals of every pair LP the curvature module solves."""
     calls = []
-    real = curvature.ollivier_kappa
-    monkeypatch.setattr(curvature, "ollivier_kappa",
-                        lambda sp, i, j: calls.append((i, j)) or real(sp, i, j))
+    real = curvature.wasserstein
+    monkeypatch.setattr(curvature, "wasserstein",
+                        lambda sp, a, b, **kw: calls.append((a.tobytes(), b.tobytes()))
+                        or real(sp, a, b, **kw))
     return calls
+
+
+def _support_edges(sp):
+    adj = (sp.kernel > 0) | (sp.kernel.T > 0)
+    return {(i, j) for i in range(sp.n) for j in range(i + 1, sp.n) if adj[i, j]}
 
 
 @settings(max_examples=25, deadline=None)
@@ -271,7 +281,7 @@ def _count_kappa_pairs(monkeypatch):
 def test_edge_kappa_is_global_on_graph_metrics(n, seed, density, self_loops):
     sp = random_reversible_space(n, np.random.default_rng(seed), density=density,
                                  self_loops=self_loops)
-    assert geodesic(sp)
+    assert set(_needed_pairs(sp)) <= _support_edges(sp)
     expect = ollivier_global(sp, "all_pairs").kappa_global
     assert kappa_global(sp) == pytest.approx(expect, abs=1e-12)
 
@@ -281,44 +291,101 @@ def test_edge_kappa_is_global_on_graph_metrics(n, seed, density, self_loops):
 def test_edge_kappa_is_global_on_grids(cells, reach):
     h = 1.0 / cells
     sp = grid_kernel_neumann([(0.0, 1.0)], h=h, radius=reach * h)
-    assert geodesic(sp)
+    assert set(_needed_pairs(sp)) <= _support_edges(sp)
     # equal in exact arithmetic; a non-edge LP may land an ulp lower (8 cells,
     # reach 1.5: edges give 0.0, all pairs -2.2e-16)
     expect = ollivier_global(sp, "all_pairs").kappa_global
     assert kappa_global(sp) == pytest.approx(expect, abs=1e-12)
 
 
+def _family_space(kind, rng):
+    """A small space of one of the metric families kappa_global must cover."""
+    if kind == "graph":
+        return random_reversible_space(int(rng.integers(2, 11)), rng,
+                                       density=float(rng.uniform(0.1, 0.9)),
+                                       connected=bool(rng.random() < 0.5),
+                                       self_loops=bool(rng.random() < 0.5))
+    if kind in ("grid", "sqrt_grid"):
+        h = 1.0 / int(rng.integers(1, 11))
+        sp = grid_kernel_neumann([(0.0, 1.0)], h=h, radius=float(rng.uniform(1.05, 4.0)) * h)
+        if kind == "grid":
+            return sp
+        return Space(sp.labels, np.sqrt(sp.metric), sp.kernel, sp.measure)  # not geodesic
+    if kind == "cloud":
+        m = int(rng.integers(2, 11))
+        pc = PointCloud(rng.uniform(0.0, 1.0, (m, 2)), rng.uniform(0.5, 2.0, m))
+        return epsilon_step_from_point_cloud(pc, float(rng.uniform(0.2, 1.5)))
+    if kind == "union":
+        a, b = (random_reversible_space(int(rng.integers(1, 6)), rng, density=0.6) for _ in "ab")
+        return disjoint_union(a, b)
+    return make_two_block(float(rng.choice([0.25, 1 / 3, 0.5])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["graph", "grid", "sqrt_grid", "cloud", "union", "two_block"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kappa_global_is_the_all_pairs_infimum(kind, seed):
+    sp = _family_space(kind, np.random.default_rng(seed))
+    expect = ollivier_global(sp, "all_pairs").kappa_global
+    assert kappa_global(sp) == pytest.approx(expect, abs=1e-12)
+
+
+def test_needed_pair_counts():
+    assert len(_needed_pairs(make_p3())) == 2
+    assert len(_needed_pairs(make_k3())) == 3
+    assert len(_needed_pairs(make_two_block(0.1))) == 21  # 231 pairs in all
+    assert len(_needed_pairs(random_reversible_space(24, np.random.default_rng(0),
+                                                     density=0.2))) == 78
+    grid = grid_kernel_neumann([(0.0, 1.0)], h=1 / 199, radius=0.02)
+    assert len(_needed_pairs(grid)) == 199  # the neighbours on the line; 594 support edges
+
+
+def test_kappa_global_on_two_block_solves_21_pair_lps(two_block, monkeypatch):
+    lps = _count_lps(monkeypatch)
+    kappa = kappa_global(two_block)
+    assert len(lps) == 21
+    assert kappa == ollivier_global(two_block, "all_pairs").kappa_global
+    assert len(lps) == 231  # all pairs solve the other 210 once each
+
+
 def test_non_geodesic_metric_takes_all_pairs(two_block, monkeypatch):
     sp = _p3_shortcut()
-    calls = _count_kappa_pairs(monkeypatch)
-    assert not geodesic(sp)
+    lps = _count_lps(monkeypatch)
+    assert _needed_pairs(sp) == ((0, 1), (0, 2), (1, 2))  # the non-edge (a, c) too
     assert kappa_global(sp) == ollivier_global(sp, "all_pairs").kappa_global
-    assert sorted(calls) == [(0, 1), (0, 2), (1, 2)]  # the non-edge (a, c) too
-    assert not geodesic(two_block)  # no support path joins the blocks
+    assert len(lps) == 3
+    # no support edge joins the blocks; of the cross pairs only the closest is needed
     assert kappa_global(two_block) == ollivier_global(two_block, "all_pairs").kappa_global
 
 
-def test_kappa_global_above_all_pairs_limit(k3, monkeypatch):
-    monkeypatch.setattr(curvature, "ALL_PAIRS_LIMIT", 2)
-    assert kappa_global(k3) == pytest.approx(0.5, abs=1e-12)  # geodesic: edges suffice
-    sp = _p3_shortcut()
+def test_kappa_global_above_all_pairs_limit(monkeypatch):
+    monkeypatch.setattr(curvature, "ALL_PAIRS_LIMIT", 2)  # a budget of one pair LP
+    sp = _p3_shortcut()  # three needed pairs
     assert kappa_global(sp) is None
     with pytest.raises(ValueError, match="all pairs"):
         lipschitz_contraction_check(sp, samples=1)
-    assert lipschitz_contraction_check(k3, samples=20, rng=3) <= 1.0 + 1e-9
+    cyc = lazy_cycle(5, 0.5)  # five needed pairs, the edges
+    monkeypatch.setattr(curvature, "ALL_PAIRS_LIMIT", 3)  # a budget of three
+    assert kappa_global(cyc) is None
+    monkeypatch.setattr(curvature, "ALL_PAIRS_LIMIT", 4)  # a budget of six
+    assert kappa_global(cyc) == pytest.approx(0.25, abs=1e-12)
+    assert lipschitz_contraction_check(cyc, samples=20, rng=3) <= 1.0 + 1e-9
 
 
 def test_each_pair_lp_runs_once(monkeypatch):
     sp = random_reversible_space(8, np.random.default_rng(4), density=0.4)
-    calls = _count_kappa_pairs(monkeypatch)
+    lps = _count_lps(monkeypatch)
     kappa_global(sp)
+    assert len(lps) == len(_needed_pairs(sp))
     edges = ollivier_global(sp, "support_edges").kappa_pairs
-    assert sorted(calls) == sorted(edges)
+    assert len(lps) == len(edges)
     assert len(edges) < 28  # the family has non-edge pairs
     ollivier_global(sp)  # adds the non-edge pairs only
     kappa_global(sp)
+    ollivier_kappa(sp, 5, 2)  # the pair (2, 5)
     lipschitz_contraction_check(sp, samples=2, rng=0)
-    assert sorted(calls) == [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    assert len(lps) == 28
+    assert len(set(lps)) == 28
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +393,11 @@ def test_each_pair_lp_runs_once(monkeypatch):
 
 
 def test_memo_computes_kappa_once_per_space(k3, monkeypatch):
-    calls = []
-    real = curvature.ollivier_kappa
-    monkeypatch.setattr(curvature, "ollivier_kappa", lambda *a: calls.append(a) or real(*a))
+    lps = _count_lps(monkeypatch)
     ollivier_global(k3)
     kappa_global(k3)
     verify_transport_inequality(k3, "te", 5)
-    assert len(calls) == 3  # one per pair of K3, not once per caller
+    assert len(lps) == 3  # one per pair of K3, not once per caller
 
 
 def test_memo_keys_normalize_defaults_and_numbers(k3):
@@ -384,8 +449,8 @@ def test_memo_entry_dies_with_its_space():
     be_best_constant(sp, 2.0)
     ollivier_global(sp)
     spectral_gap(sp)
-    assert len(_linalg._MEMO[sp]) == 4  # one entry per result, all on this space:
-    # BE, the decomposition, and the all-pairs curvature with its edge part
+    assert len(_linalg._MEMO[sp]) == 18  # one entry per result, all on this space:
+    # BE, the decomposition, the all-pairs curvature and its 15 pair curvatures
     ref = weakref.ref(sp)
     gc.collect()
     before = len(_linalg._MEMO)

@@ -10,8 +10,8 @@ from mrws import (
     verify_transport_inequality,
     wasserstein,
 )
-from mrws import Space, curvature
-from mrws.builders import grid_kernel_neumann, two_block_halves
+from mrws import Space, curvature, transport
+from mrws.builders import grid_kernel_neumann, lazy_cycle, two_block_halves
 from mrws.transport import _marginal_constraints
 
 import _oracles
@@ -229,9 +229,28 @@ def test_ti_ollivier_skipped_above_all_pairs_limit():
         verify_transport_inequality(snowflake, "ti_ollivier", trials=1)
 
 
-def test_ti_ollivier_runs_above_all_pairs_limit_on_geodesic_metric(k3, monkeypatch):
-    monkeypatch.setattr(curvature, "ALL_PAIRS_LIMIT", 2)
-    assert verify_transport_inequality(k3, "ti_ollivier", trials=20, rng=1) <= 1.0 + 1e-9
+def test_ti_ollivier_runs_above_all_pairs_limit_on_geodesic_metric(monkeypatch):
+    monkeypatch.setattr(curvature, "ALL_PAIRS_LIMIT", 4)  # 5 points; a budget of 6 pair LPs
+    cyc = lazy_cycle(5, 0.5)  # 5 needed pairs, the edges
+    assert verify_transport_inequality(cyc, "ti_ollivier", trials=20, rng=1) <= 1.0 + 1e-9
+
+
+def test_verifiers_solve_each_w1_once(k3, monkeypatch):
+    fresh = {kind: verify_transport_inequality(Space(k3.labels, k3.metric, k3.kernel, k3.measure),
+                                               kind, trials=20, rng=0)
+             for kind in ("ti_be", "ti_ollivier", "te")}
+    curvature.kappa_global(k3)  # the pair LPs of ti_ollivier, outside the count
+    calls = []
+    for mod in (transport, curvature):
+        monkeypatch.setattr(mod, "wasserstein",
+                            lambda *a, real=mod.wasserstein, **kw: calls.append(1) or real(*a, **kw))
+    assert verify_transport_inequality(k3, "ti_be", trials=20, rng=0) == fresh["ti_be"]
+    assert calls
+    first = len(calls)
+    # the same seed draws the same densities, so the other two kinds reuse every W1
+    assert verify_transport_inequality(k3, "ti_ollivier", trials=20, rng=0) == fresh["ti_ollivier"]
+    assert verify_transport_inequality(k3, "te", trials=20, rng=0) == fresh["te"]
+    assert len(calls) == first
 
 
 def test_verifier_exposes_failure_on_disconnected_space(two_block):
