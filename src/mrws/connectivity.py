@@ -13,6 +13,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from . import _linalg
 from .core import ScalarField, Space, Subset, as_mask
 
 __all__ = [
@@ -100,7 +101,7 @@ def is_ergodic(space: Space) -> ErgodicityResult:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    blocks: list
+    blocks: tuple
     count: int
 
 
@@ -109,10 +110,15 @@ def invariant_blocks(space: Space) -> BlockDecomposition:
 
     For reversible kernels with full-support measure these partition the
     space and their number equals the kernel dimension of the generator.
+    The block masks are memoized per space (a memoized Subset would keep its
+    space alive); the blocks are a tuple of read-only subsets.
     """
-    ncomp, labels = _strong_components(space)
-    leaving = ((space.kernel != 0) & (labels[:, None] != labels[None, :])).any(axis=1)
-    open_class = np.bincount(labels, weights=leaving, minlength=ncomp) > 0  # mass escapes
-    _, first = np.unique(labels, return_index=True)
-    blocks = [Subset(space, labels == c) for c in np.argsort(first) if not open_class[c]]
-    return BlockDecomposition(blocks, len(blocks))
+    def compute():
+        ncomp, labels = _strong_components(space)
+        leaving = ((space.kernel != 0) & (labels[:, None] != labels[None, :])).any(axis=1)
+        open_class = np.bincount(labels, weights=leaving, minlength=ncomp) > 0  # mass escapes
+        _, first = np.unique(labels, return_index=True)
+        return tuple(labels == c for c in np.argsort(first) if not open_class[c])
+
+    masks = _linalg.memo(space, "blocks", compute)
+    return BlockDecomposition(tuple(Subset(space, m) for m in masks), len(masks))

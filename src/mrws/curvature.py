@@ -14,7 +14,7 @@ import numpy as np
 from . import _linalg
 from .core import ScalarField, Space, _readonly, as_values
 from .heat import heat_evolve
-from .transport import wasserstein
+from .transport import GEODESIC_RTOL, _w1
 
 __all__ = [
     "gamma",
@@ -34,8 +34,6 @@ __all__ = [
 # Largest space on which the all-pairs curvature (n(n-1)/2 transport LPs) runs;
 # its pair count is also the most pair LPs ``kappa_global`` solves.
 ALL_PAIRS_LIMIT = 300
-# Relative slack within which a jump target counts as lying between two points.
-GEODESIC_RTOL = 1e-12
 
 
 def gamma(space: Space, f, g=None) -> ScalarField:
@@ -169,10 +167,16 @@ def ollivier_kappa(space: Space, x, y) -> float:
     i, j = sorted((space.index(x), space.index(y)))
     if i == j:
         raise ValueError("curvature needs two distinct points")
+    return _pair_kappa(space, i, j)[0]
 
+
+def _pair_kappa(space: Space, i: int, j: int) -> tuple[float, float]:
+    """(kappa, its certificate gap) for the pair i < j: the gap is the W1
+    duality gap over d(i, j), a bound on the error of kappa. Memoized."""
     def compute():
-        w1 = wasserstein(space, space.kernel[i], space.kernel[j], p=1).cost
-        return 1.0 - w1 / float(space.metric[i, j])
+        w1, gap = _w1(space, space.kernel[i], space.kernel[j])
+        d = float(space.metric[i, j])
+        return 1.0 - w1 / d, gap / d
 
     return _linalg.memo(space, ("kappa", i, j), compute)
 
@@ -181,6 +185,7 @@ def ollivier_kappa(space: Space, x, y) -> float:
 class OllivierResult:
     kappa_pairs: MappingProxyType  # read-only, (i, j) with i < j -> kappa
     kappa_global: float
+    kappa_gap: float  # the largest pair certificate gap (``_pair_kappa``)
 
 
 def ollivier_global(space: Space, policy: str = "all_pairs") -> OllivierResult:
@@ -188,8 +193,9 @@ def ollivier_global(space: Space, policy: str = "all_pairs") -> OllivierResult:
 
     ``all_pairs`` is the faithful global value (guarded to n <=
     ALL_PAIRS_LIMIT); ``support_edges`` restricts to kernel-adjacent pairs,
-    whose infimum bounds the global one from above. Memoized per space and
-    policy.
+    whose infimum bounds the global one from above. ``kappa_gap`` is the
+    largest pair certificate gap, on the scale of kappa. Memoized per space
+    and policy.
     """
     if policy not in ("all_pairs", "support_edges"):
         raise ValueError("policy must be 'all_pairs' or 'support_edges'")
@@ -200,11 +206,13 @@ def ollivier_global(space: Space, policy: str = "all_pairs") -> OllivierResult:
 
     def compute():
         adj = (space.kernel > 0) | (space.kernel.T > 0)
-        kappa_pairs = {(i, j): ollivier_kappa(space, i, j)
-                       for i in range(n) for j in range(i + 1, n)
-                       if policy == "all_pairs" or adj[i, j]}
+        pairs = {(i, j): _pair_kappa(space, i, j)
+                 for i in range(n) for j in range(i + 1, n)
+                 if policy == "all_pairs" or adj[i, j]}
+        kappa_pairs = {ij: kappa for ij, (kappa, _) in pairs.items()}
         return OllivierResult(MappingProxyType(kappa_pairs),
-                              float(min(kappa_pairs.values(), default=math.inf)))
+                              float(min(kappa_pairs.values(), default=math.inf)),
+                              float(max((gap for _, gap in pairs.values()), default=0.0)))
 
     return _linalg.memo(space, ("ollivier", policy), compute)
 

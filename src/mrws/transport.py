@@ -5,6 +5,12 @@ The transportation LP is solved to vertex optimality (HiGHS dual simplex);
 optimality is certified by explicit feasible dual potentials, tightened by
 c-transform so that the reported duality gap is meaningful on its own. For
 ground cost d the source potential is genuinely 1-Lipschitz.
+
+Where only the W1 cost is read (the coarse Ricci curvature and the verifiers),
+``_w1`` takes it without an LP when it has a closed form: the coupling is
+forced when either marginal is a point mass, and on a tree metric W1 is the
+edge-weighted sum of the subtree imbalances, certified by a tree potential.
+Every other W1 cost comes from the LP of ``wasserstein``.
 """
 
 from __future__ import annotations
@@ -13,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree, shortest_path
 
 from . import _linalg
-from .core import HypothesisError, Space, as_values
+from .core import HypothesisError, Space, _readonly, as_values
 from .spectral import dirichlet_energy
 
 __all__ = [
@@ -29,6 +36,10 @@ __all__ = [
     "verify_transport_inequality",
     "random_density",
 ]
+
+# Relative slack within which two distances count as equal: a jump target lies
+# between two points, or a tree's path metric is the space's metric.
+GEODESIC_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,21 +61,35 @@ def wasserstein(space: Space, mu, nu2, p: int = 1) -> TransportPlan:
     1-Lipschitz potential u with dual_v = -u (the flat dual form), and the
     duality gap compares the primal objective with its dual value.
     """
+    a, b = _marginals(space, mu, nu2)
+    if p not in (1, 2):
+        raise ValueError("p must be 1 or 2")
+    if not a.any():
+        n = space.n
+        z = np.zeros(n)
+        return TransportPlan(np.zeros((n, n)), 0.0, z, z, 0.0, p)
+    return _plan(space, a, b, p)
+
+
+def _marginals(space: Space, mu, nu2) -> tuple[np.ndarray, np.ndarray]:
+    """Both marginals as arrays, checked to be nonnegative and of equal mass
+    (relative 1e-12; zero mass only against zero mass), the target rescaled to
+    the source's mass exactly."""
     a = as_values(space, mu)
     b = as_values(space, nu2)
     if np.any(a < 0) or np.any(b < 0):
         raise ValueError("marginals must be nonnegative")
     ta, tb = float(a.sum()), float(b.sum())
-    if abs(ta - tb) > 1e-12 * max(1.0, ta, tb):
+    if abs(ta - tb) > 1e-12 * max(1.0, ta, tb) or (ta == 0.0) != (tb == 0.0):
         raise ValueError(f"mass imbalance: {ta} vs {tb}")
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
-    n = space.n
     if ta == 0.0:
-        z = np.zeros(n)
-        return TransportPlan(np.zeros((n, n)), 0.0, z, z, 0.0, p)
-    b = b * (ta / tb)  # balance exactly
+        return a, b
+    return a, b * (ta / tb)  # balance exactly
 
+
+def _plan(space: Space, a: np.ndarray, b: np.ndarray, p: int) -> TransportPlan:
+    """The optimal plan between checked marginals of positive mass, by LP."""
+    n = space.n
     if np.array_equal(a, b):
         return TransportPlan(np.diag(a), 0.0, np.zeros(n), np.zeros(n), 0.0, p)
 
@@ -100,6 +125,70 @@ def wasserstein(space: Space, mu, nu2, p: int = 1) -> TransportPlan:
     coupling[np.ix_(I, J)] = np.maximum(res.x.reshape(ni, nj), 0.0)
     wp = objective if p == 1 else float(np.sqrt(max(objective, 0.0)))
     return TransportPlan(coupling, wp, u_full, v_full, gap, p)
+
+
+def _w1(space: Space, mu, nu2) -> tuple[float, float]:
+    """(W1 cost, duality gap) between two marginals, with the checks and errors
+    of ``wasserstein``, by the cheapest exact route.
+
+    A point mass forces the coupling, so W1(m delta_x, b) = sum_y b_y d(x, y)
+    with gap 0. On a tree metric (``_tree``) W1 = sum_e w_e |s_e|, s_e the
+    imbalance a - b summed over the subtree below edge e (Evans and Matsen,
+    JRSS-B 2012); the potential u(child) = u(parent) + w_e sign(s_e) is
+    1-Lipschitz and attains it, and its gap |W1 - (a - b).u| certifies the
+    value. Anywhere else the LP of ``wasserstein`` answers.
+    """
+    a, b = _marginals(space, mu, nu2)
+    if not a.any():
+        return 0.0, 0.0
+    for src, dst in ((a, b), (b, a)):
+        at = np.flatnonzero(src)
+        if at.size == 1:
+            return float(dst @ space.metric[:, at[0]]), 0.0
+    tree = _tree(space)
+    if tree is not None:
+        below, w = tree
+        diff = a - b
+        s = diff @ below
+        cost = float(w @ np.abs(s))
+        return cost, abs(cost - float(diff @ (below @ (w * np.sign(s)))))
+    plan = _plan(space, a, b, 1)
+    return plan.cost, plan.duality_gap
+
+
+def _tree(space: Space):
+    """The spanning tree of the support graph whose path metric is the space's
+    metric, as (below, w), or None when there is none. Memoized per space.
+
+    The candidate is the minimum spanning tree of the support edges weighted
+    by the metric: a support edge off a tree that the metric follows is the
+    longest edge of its cycle, so no other tree can qualify. It is accepted
+    when it spans every point and its path lengths equal the metric within
+    GEODESIC_RTOL; several blocks, sentinel distances or a shortcut reject it.
+    Rooted at point 0, below[v, c] = 1 when v lies in the subtree of c, and
+    w[c] is the length of the edge from c to its parent (0 at the root).
+    """
+    def compute():
+        n = space.n
+        d = space.metric
+        adj = (space.kernel > 0) | (space.kernel.T > 0)
+        i, j = np.nonzero(np.triu(adj, k=1) & (d > 0) & np.isfinite(d))
+        mst = minimum_spanning_tree(csr_matrix((d[i, j], (i, j)), shape=(n, n)))
+        order, parent = breadth_first_order(mst, 0, directed=False)
+        if order.size < n:
+            return None
+        if not np.all(np.abs(shortest_path(mst, directed=False) - d) <= GEODESIC_RTOL * d):
+            return None
+        below = np.zeros((n, n))
+        below[0, 0] = 1.0
+        for v in order[1:]:  # each parent comes before its children
+            below[v] = below[parent[v]]
+            below[v, v] = 1.0
+        w = np.zeros(n)
+        w[order[1:]] = d[order[1:], parent[order[1:]]]
+        return _readonly(below), _readonly(w)
+
+    return _linalg.memo(space, "tree", compute)
 
 
 def _marginal_constraints(ni: int, nj: int) -> coo_matrix:
@@ -252,8 +341,7 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
 
     worst = 0.0
     for f in densities:
-        lhs = _linalg.memo(space, ("w1_to_nu", f.tobytes()),
-                           lambda: wasserstein(space, f * nu, nu, p=1).cost)
+        lhs = _linalg.memo(space, ("w1_to_nu", f.tobytes()), lambda: _w1(space, f * nu, nu)[0])
         if kind == "te":
             rhs = np.sqrt(root2theta / k_ti * max(divergences(space, f).entropy, 0.0))
         else:

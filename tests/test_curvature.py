@@ -25,7 +25,7 @@ from mrws import (
     verify_transport_inequality,
     wasserstein,
 )
-from mrws import _linalg, curvature
+from mrws import _linalg, curvature, transport
 from mrws.builders import (
     PointCloud,
     cycle,
@@ -34,14 +34,16 @@ from mrws.builders import (
     grid_kernel_neumann,
     k3 as make_k3,
     lazy_cycle,
+    linear_chain,
     p3 as make_p3,
     random_reversible_space,
     two_block as make_two_block,
 )
 from mrws.curvature import _needed_pairs, kappa_global
+from mrws.transport import _tree
 
 import _oracles
-from conftest import random_spaces
+from conftest import random_spaces, random_tree_space
 
 
 def test_gamma_constant_is_zero(p3):
@@ -260,13 +262,14 @@ def _p3_shortcut():
     return Space(p3.labels, d, p3.kernel, p3.measure)
 
 
-def _count_lps(monkeypatch):
-    """Records the two marginals of every pair LP the curvature module solves."""
+def _count_w1(monkeypatch):
+    """Records the two marginals of every pair W1 the curvature module asks
+    the transport dispatch for (an LP on the non-tree spaces counted here,
+    unless a jump law is a point mass)."""
     calls = []
-    real = curvature.wasserstein
-    monkeypatch.setattr(curvature, "wasserstein",
-                        lambda sp, a, b, **kw: calls.append((a.tobytes(), b.tobytes()))
-                        or real(sp, a, b, **kw))
+    real = curvature._w1
+    monkeypatch.setattr(curvature, "_w1",
+                        lambda sp, a, b: calls.append((a.tobytes(), b.tobytes())) or real(sp, a, b))
     return calls
 
 
@@ -341,19 +344,19 @@ def test_needed_pair_counts():
 
 
 def test_kappa_global_on_two_block_solves_21_pair_lps(two_block, monkeypatch):
-    lps = _count_lps(monkeypatch)
+    solves = _count_w1(monkeypatch)
     kappa = kappa_global(two_block)
-    assert len(lps) == 21
+    assert len(solves) == 21
     assert kappa == ollivier_global(two_block, "all_pairs").kappa_global
-    assert len(lps) == 231  # all pairs solve the other 210 once each
+    assert len(solves) == 231  # all pairs solve the other 210 once each
 
 
 def test_non_geodesic_metric_takes_all_pairs(two_block, monkeypatch):
     sp = _p3_shortcut()
-    lps = _count_lps(monkeypatch)
+    solves = _count_w1(monkeypatch)
     assert _needed_pairs(sp) == ((0, 1), (0, 2), (1, 2))  # the non-edge (a, c) too
     assert kappa_global(sp) == ollivier_global(sp, "all_pairs").kappa_global
-    assert len(lps) == 3
+    assert len(solves) == 3
     # no support edge joins the blocks; of the cross pairs only the closest is needed
     assert kappa_global(two_block) == ollivier_global(two_block, "all_pairs").kappa_global
 
@@ -374,18 +377,56 @@ def test_kappa_global_above_all_pairs_limit(monkeypatch):
 
 def test_each_pair_lp_runs_once(monkeypatch):
     sp = random_reversible_space(8, np.random.default_rng(4), density=0.4)
-    lps = _count_lps(monkeypatch)
+    solves = _count_w1(monkeypatch)
     kappa_global(sp)
-    assert len(lps) == len(_needed_pairs(sp))
+    assert len(solves) == len(_needed_pairs(sp))
     edges = ollivier_global(sp, "support_edges").kappa_pairs
-    assert len(lps) == len(edges)
+    assert len(solves) == len(edges)
     assert len(edges) < 28  # the family has non-edge pairs
     ollivier_global(sp)  # adds the non-edge pairs only
     kappa_global(sp)
     ollivier_kappa(sp, 5, 2)  # the pair (2, 5)
     lipschitz_contraction_check(sp, samples=2, rng=0)
-    assert len(lps) == 28
-    assert len(set(lps)) == 28
+    assert len(solves) == 28
+    assert len(set(solves)) == 28
+
+
+def _grid200():
+    return grid_kernel_neumann([(0.0, 1.0)], h=1 / 199, radius=0.02)
+
+
+def test_tree_metrics_are_detected():
+    trees = [make_p3(), linear_chain(15), random_tree_space(30, np.random.default_rng(5)),
+             _grid200()]
+    for sp in trees:
+        below, w = _tree(sp)
+        assert below.shape == (sp.n, sp.n) and (w > 0).sum() == sp.n - 1
+    # a cycle; a shortcut off the support; two blocks at the sentinel distance
+    for sp in (make_k3(), cycle(16), _p3_shortcut(), disjoint_union(make_k3(), make_k3())):
+        assert _tree(sp) is None
+
+
+def test_grid_edge_curvature_solves_no_lp(monkeypatch):
+    grid = _grid200()
+    lps = []
+    monkeypatch.setattr(transport, "linprog", lambda *a, **kw: lps.append(1))
+    res = ollivier_global(grid, "support_edges")
+    assert len(res.kappa_pairs) == 594
+    assert not lps
+    assert res.kappa_gap <= 1e-12
+    assert kappa_global(grid) == pytest.approx(res.kappa_global, abs=1e-12)
+
+
+def test_kappa_gap_certifies_each_pair(rng):
+    for sp in random_spaces(4, rng, n_lo=4, n_hi=8):
+        res = ollivier_global(sp)
+        assert 0.0 <= res.kappa_gap <= 1e-9
+        lp_pairs = _tree(sp) is None
+        for (i, j), kappa in res.kappa_pairs.items():
+            plan = wasserstein(sp, sp.kernel[i], sp.kernel[j])
+            assert kappa == pytest.approx(1.0 - plan.cost / sp.metric[i, j], abs=1e-12)
+            if lp_pairs and min(np.count_nonzero(sp.kernel[[i, j]], axis=1)) > 1:
+                assert plan.duality_gap / sp.metric[i, j] <= res.kappa_gap
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +434,11 @@ def test_each_pair_lp_runs_once(monkeypatch):
 
 
 def test_memo_computes_kappa_once_per_space(k3, monkeypatch):
-    lps = _count_lps(monkeypatch)
+    solves = _count_w1(monkeypatch)
     ollivier_global(k3)
     kappa_global(k3)
     verify_transport_inequality(k3, "te", 5)
-    assert len(lps) == 3  # one per pair of K3, not once per caller
+    assert len(solves) == 3  # one per pair of K3, not once per caller
 
 
 def test_memo_keys_normalize_defaults_and_numbers(k3):
@@ -449,8 +490,9 @@ def test_memo_entry_dies_with_its_space():
     be_best_constant(sp, 2.0)
     ollivier_global(sp)
     spectral_gap(sp)
-    assert len(_linalg._MEMO[sp]) == 18  # one entry per result, all on this space:
-    # BE, the decomposition, the all-pairs curvature and its 15 pair curvatures
+    assert len(_linalg._MEMO[sp]) == 20  # one entry per result, all on this space: BE, the
+    # decomposition, the invariant blocks, the all-pairs curvature, its 15 pair
+    # curvatures and the tree test of the transport dispatch
     ref = weakref.ref(sp)
     gc.collect()
     before = len(_linalg._MEMO)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrws import (
     HypothesisError,
@@ -12,10 +14,10 @@ from mrws import (
 )
 from mrws import Space, curvature, transport
 from mrws.builders import grid_kernel_neumann, lazy_cycle, two_block_halves
-from mrws.transport import _marginal_constraints
+from mrws.transport import _marginal_constraints, _tree, _w1
 
 import _oracles
-from conftest import random_spaces
+from conftest import random_spaces, random_tree_space
 
 
 def test_identical_marginals_give_diagonal_plan(p3):
@@ -239,11 +241,10 @@ def test_verifiers_solve_each_w1_once(k3, monkeypatch):
     fresh = {kind: verify_transport_inequality(Space(k3.labels, k3.metric, k3.kernel, k3.measure),
                                                kind, trials=20, rng=0)
              for kind in ("ti_be", "ti_ollivier", "te")}
-    curvature.kappa_global(k3)  # the pair LPs of ti_ollivier, outside the count
+    curvature.kappa_global(k3)  # the pair W1 of ti_ollivier, outside the count
     calls = []
     for mod in (transport, curvature):
-        monkeypatch.setattr(mod, "wasserstein",
-                            lambda *a, real=mod.wasserstein, **kw: calls.append(1) or real(*a, **kw))
+        monkeypatch.setattr(mod, "_w1", lambda *a, real=mod._w1: calls.append(1) or real(*a))
     assert verify_transport_inequality(k3, "ti_be", trials=20, rng=0) == fresh["ti_be"]
     assert calls
     first = len(calls)
@@ -305,3 +306,83 @@ def test_marginal_constraints_match_loop_construction():
         np.testing.assert_array_equal(A.row, rows)
         np.testing.assert_array_equal(A.col, cols)
         np.testing.assert_array_equal(A.data, np.ones(2 * ni * nj))
+
+
+# ---------------------------------------------------------------------------
+# closed-form W1: point masses and tree metrics, against the LP
+
+
+def _random_marginals(rng, n):
+    """Two equal-mass vectors with random supports and non-uniform masses."""
+    a, b = (rng.uniform(0, 1, n) * (rng.random(n) < 0.7) for _ in "ab")
+    a[rng.integers(n)] += 0.5  # neither is zero
+    b[rng.integers(n)] += 0.5
+    return a, b * (a.sum() / b.sum())
+
+
+def _line_space(x, radius):
+    """Uniform-window walk on points x of a line with explicit distances."""
+    d = np.abs(x[:, None] - x[None, :])
+    k = (d <= radius).astype(float)
+    return Space(tuple(range(x.size)), d, k / k.sum(axis=1)[:, None], k.sum(axis=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["tree", "grid", "line"]), n=st.integers(2, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_tree_closed_form_matches_the_lp(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "tree":
+        sp = random_tree_space(n, rng, self_loops=bool(rng.random() < 0.5))
+    elif kind == "grid":
+        h = 1.0 / (n - 1)
+        sp = grid_kernel_neumann([(0.0, 1.0)], h=h, radius=float(rng.uniform(1.05, 4.0)) * h)
+    else:  # uneven spacing; every window reaches the next point
+        x = np.cumsum(rng.uniform(0.1, 1.0, n))
+        sp = _line_space(x, float(np.diff(x).max(initial=0.0)) * rng.uniform(1.0, 3.0))
+    assert _tree(sp) is not None
+    for _ in range(5):
+        a, b = _random_marginals(rng, sp.n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transport, "linprog", None)  # the closed form solves no LP
+            cost, gap = _w1(sp, a, b)
+        assert cost == pytest.approx(wasserstein(sp, a, b).cost, abs=1e-12)
+        assert gap <= 1e-12
+
+
+def test_tree_potential_is_a_lipschitz_certificate(rng):
+    for _ in range(5):
+        sp = random_tree_space(int(rng.integers(2, 20)), rng)
+        below, w = _tree(sp)
+        a, b = _random_marginals(rng, sp.n)
+        s = (a - b) @ below
+        u = below @ (w * np.sign(s))
+        assert (np.abs(u[:, None] - u[None, :]) <= sp.metric * (1 + 1e-12)).all()
+        assert float((a - b) @ u) == pytest.approx(_w1(sp, a, b)[0], abs=1e-12)
+
+
+def test_point_mass_closed_form_matches_the_lp(rng, monkeypatch):
+    lps = []
+    monkeypatch.setattr(transport, "linprog", lambda *a, real=transport.linprog, **kw:
+                        lps.append(1) or real(*a, **kw))
+    for sp in random_spaces(8, rng):
+        x = int(rng.integers(sp.n))
+        delta = np.zeros(sp.n)
+        delta[x] = 1.0
+        for mu, nu2 in ((delta, sp.kernel[(x + 1) % sp.n]), (sp.nu, delta)):
+            cost, gap = _w1(sp, mu, nu2)
+            assert gap == 0.0
+            assert not lps
+            assert cost == pytest.approx(wasserstein(sp, mu, nu2).cost, abs=1e-12)
+            lps.clear()
+
+
+def test_w1_dispatch_keeps_the_input_checks(p3):
+    with pytest.raises(ValueError, match="mass imbalance"):
+        _w1(p3, [1.0, 0, 0], [0.5, 0.2, 0.2])
+    with pytest.raises(ValueError, match="nonnegative"):
+        _w1(p3, [-0.5, 1.0, 0.5], p3.nu)
+    for check in (_w1, wasserstein):  # a positive mass within 1e-12 of zero
+        with pytest.raises(ValueError, match="mass imbalance"):
+            check(p3, [1e-13, 0, 0], np.zeros(3))
+    assert _w1(p3, np.zeros(3), np.zeros(3)) == (0.0, 0.0)
