@@ -69,7 +69,6 @@ from .curvature import (
     lipschitz_contraction_check,
     ollivier_global,
     ollivier_kappa,
-    point_forms,
 )
 from .transport import (
     DivergenceStats,

@@ -14,13 +14,11 @@ import numpy as np
 from . import _linalg
 from .core import ScalarField, Space, _readonly, as_values
 from .heat import heat_evolve
-from .transport import GEODESIC_RTOL, _w1
+from .transport import GEODESIC_RTOL, PRUNE_RTOL, _w1, _w1_upper
 
 __all__ = [
     "gamma",
     "gamma2",
-    "PointQuadraticForms",
-    "point_forms",
     "BEResult",
     "be_best_constant",
     "OllivierResult",
@@ -32,7 +30,8 @@ __all__ = [
 ]
 
 # Largest space on which the all-pairs curvature (n(n-1)/2 transport LPs) runs;
-# its pair count is also the most pair LPs ``kappa_global`` solves.
+# its pair count also caps the pair family ``kappa_global`` searches, which
+# solves the LPs of that family only where its bounds cannot rule a pair out.
 ALL_PAIRS_LIMIT = 300
 
 
@@ -75,32 +74,6 @@ def _gamma2_matrix(P: np.ndarray, P2: np.ndarray, x: int, J: np.ndarray, n_param
     A = (0.5 - 1.0 / n_param) * np.outer(p, p) - 0.5 * (A + A.T)
     A[np.diag_indices_from(A)] += 0.25 * P2[x, J] + 0.5 * p
     return A
-
-
-@dataclass(frozen=True)
-class PointQuadraticForms:
-    """Per-point forms on all n points, with f.gamma_forms[x] f = Gamma(f)(x), likewise
-    Gamma2, and laplacian_rows[x] @ f = (Lf)(x). O(n^3) memory, for small spaces."""
-
-    gamma_forms: np.ndarray  # (n, n, n), [x] is the form of Gamma(.)(x)
-    gamma2_forms: np.ndarray
-    laplacian_rows: np.ndarray  # (n, n)
-
-
-def point_forms(space: Space) -> PointQuadraticForms:
-    """Both forms ignore constants: each is C^T A C, with C = I - 1 e_x^T mapping f to
-    f - f(x) and A the form on fields with f(x) = 0."""
-    P = space.kernel
-    P2 = P @ P
-    n = space.n
-    B = np.empty((n, n, n))
-    M2 = np.empty((n, n, n))
-    for x in range(n):
-        C = np.eye(n)
-        C[:, x] -= 1.0
-        B[x] = C.T @ (0.5 * P[x, :, None] * C)
-        M2[x] = C.T @ _gamma2_matrix(P, P2, x, np.arange(n), math.inf) @ C
-    return PointQuadraticForms(B, M2, P - np.eye(n))
 
 
 @dataclass(frozen=True)
@@ -251,11 +224,30 @@ def kappa_global(space: Space) -> float | None:
     None when that family has more pairs than all pairs have at
     ALL_PAIRS_LIMIT points; the support-edge infimum then only bounds the
     value from above.
+
+    A best-first search: ``_w1_upper`` bounds each pair's curvature from
+    below by 1 - bound / d(i, j), and the pairs are solved exactly in order of
+    that bound. The search stops once the next bound exceeds the least
+    curvature found by more than PRUNE_RTOL max(1, |kappa|); that pair and
+    every pair after it have a larger curvature, certified by its bound. The
+    pair that sets the minimum gets its exact W1, so the value is the one all
+    needed pairs give. Memoized per space.
     """
     pairs = _needed_pairs(space)
     if len(pairs) > ALL_PAIRS_LIMIT * (ALL_PAIRS_LIMIT - 1) // 2:
         return None
-    return float(min((ollivier_kappa(space, i, j) for i, j in pairs), default=math.inf))
+
+    def compute():
+        P, d = space.kernel, space.metric
+        lower = [1.0 - _w1_upper(space, P[i], P[j]) / float(d[i, j]) for i, j in pairs]
+        best = math.inf
+        for k in sorted(range(len(pairs)), key=lower.__getitem__):
+            if lower[k] > best + PRUNE_RTOL * max(1.0, abs(best)):
+                break
+            best = min(best, _pair_kappa(space, *pairs[k])[0])
+        return float(best)
+
+    return _linalg.memo(space, "kappa_global", compute)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +294,7 @@ def lipschitz_contraction_check(space: Space, samples: int, times=(0.5, 2.0, 8.0
     if kappa is None:
         kappa = kappa_global(space)
         if kappa is None:
-            raise ValueError("the global curvature needs more pair LPs than all pairs at "
+            raise ValueError("the global curvature needs a pair family larger than all pairs at "
                              f"n = {ALL_PAIRS_LIMIT}; pass kappa")
     rng = np.random.default_rng(rng)
     worst = 0.0

@@ -10,11 +10,15 @@ Where only the W1 cost is read (the coarse Ricci curvature and the verifiers),
 ``_w1`` takes it without an LP when it has a closed form: the coupling is
 forced when either marginal is a point mass, and on a tree metric W1 is the
 edge-weighted sum of the subtree imbalances, certified by a tree potential.
-Every other W1 cost comes from the LP of ``wasserstein``.
+Every other W1 cost comes from the LP of ``wasserstein``. ``_w1_upper`` bounds
+W1 from above without an LP (a greedy coupling where no closed form applies),
+so that a search for the largest or least of many costs solves only the LPs
+that can set it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +44,10 @@ __all__ = [
 # Relative slack within which two distances count as equal: a jump target lies
 # between two points, or a tree's path metric is the space's metric.
 GEODESIC_RTOL = 1e-12
+# Relative margin by which an LP-free bound must clear the running extremum
+# before a best-first search skips the LP it bounds: it covers the few ulps
+# by which a greedy coupling's float cost can undercut the exact one.
+PRUNE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -129,31 +137,82 @@ def _plan(space: Space, a: np.ndarray, b: np.ndarray, p: int) -> TransportPlan:
 
 def _w1(space: Space, mu, nu2) -> tuple[float, float]:
     """(W1 cost, duality gap) between two marginals, with the checks and errors
-    of ``wasserstein``, by the cheapest exact route.
+    of ``wasserstein``, by the cheapest exact route: the closed forms of
+    ``_closed_form`` where they apply, the LP of ``wasserstein`` elsewhere.
+    """
+    a, b = _marginals(space, mu, nu2)
+    if not a.any():
+        return 0.0, 0.0
+    exact = _closed_form(space, a, b)
+    if exact is not None:
+        return exact
+    plan = _plan(space, a, b, 1)
+    return plan.cost, plan.duality_gap
+
+
+def _w1_upper(space: Space, mu, nu2) -> float:
+    """An upper bound on W1 between two marginals, with the checks of ``_w1``
+    and without an LP: the exact cost where ``_w1`` has a closed form, else
+    the cost of a greedy coupling.
+
+    The greedy keeps min(a, b) in place, at cost 0, and fills the cells of
+    the residual a - min(a, b) to b - min(a, b) cheapest first, each as far as
+    its row and column allow. That is a feasible coupling, so its cost bounds
+    W1 from above. Its float cost can sit a few ulps below the exact cost of
+    the coupling, and the residual masses can differ by a few ulps; callers
+    that rank by the bound keep a margin for both.
+    """
+    a, b = _marginals(space, mu, nu2)
+    if not a.any():
+        return 0.0
+    exact = _closed_form(space, a, b)
+    if exact is not None:
+        return exact[0]
+    common = np.minimum(a, b)
+    sa, sb = a - common, b - common
+    I, J = np.flatnonzero(sa > 0), np.flatnonzero(sb > 0)
+    C = space.metric[np.ix_(I, J)]
+    supply, demand, c = sa[I].tolist(), sb[J].tolist(), C.ravel().tolist()
+    rows_left, cols_left, nj = len(I), len(J), len(J)
+    cost = 0.0
+    for k in np.argsort(C, axis=None, kind="stable").tolist():
+        r, s = divmod(k, nj)
+        f = min(supply[r], demand[s])
+        if f <= 0.0:
+            continue
+        cost += f * c[k]
+        supply[r] -= f  # one of the two is now exactly zero
+        demand[s] -= f
+        rows_left -= supply[r] == 0.0
+        cols_left -= demand[s] == 0.0
+        if not (rows_left and cols_left):
+            break
+    return cost
+
+
+def _closed_form(space: Space, a: np.ndarray, b: np.ndarray) -> tuple[float, float] | None:
+    """(W1 cost, duality gap) between checked marginals of positive mass where
+    a closed form applies, else None.
 
     A point mass forces the coupling, so W1(m delta_x, b) = sum_y b_y d(x, y)
     with gap 0. On a tree metric (``_tree``) W1 = sum_e w_e |s_e|, s_e the
     imbalance a - b summed over the subtree below edge e (Evans and Matsen,
     JRSS-B 2012); the potential u(child) = u(parent) + w_e sign(s_e) is
     1-Lipschitz and attains it, and its gap |W1 - (a - b).u| certifies the
-    value. Anywhere else the LP of ``wasserstein`` answers.
+    value.
     """
-    a, b = _marginals(space, mu, nu2)
-    if not a.any():
-        return 0.0, 0.0
     for src, dst in ((a, b), (b, a)):
         at = np.flatnonzero(src)
         if at.size == 1:
             return float(dst @ space.metric[:, at[0]]), 0.0
     tree = _tree(space)
-    if tree is not None:
-        below, w = tree
-        diff = a - b
-        s = diff @ below
-        cost = float(w @ np.abs(s))
-        return cost, abs(cost - float(diff @ (below @ (w * np.sign(s)))))
-    plan = _plan(space, a, b, 1)
-    return plan.cost, plan.duality_gap
+    if tree is None:
+        return None
+    below, w = tree
+    diff = a - b
+    s = diff @ below
+    cost = float(w @ np.abs(s))
+    return cost, abs(cost - float(diff @ (below @ (w * np.sign(s)))))
 
 
 def _tree(space: Space):
@@ -283,8 +342,9 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
     ti_be        W1(f nu, nu) <= sqrt(2 theta_m)/K * sqrt(I(f))   for the best
                  curvature-dimension constant K = K(infinity) > 0.
     ti_ollivier  same with K replaced by the coarse Ricci curvature kappa > 0
-                 (``curvature.kappa_global``, which takes no more pair LPs
-                 than all pairs at n = curvature.ALL_PAIRS_LIMIT).
+                 (``curvature.kappa_global``, defined while its pair family
+                 has no more pairs than all pairs at n =
+                 curvature.ALL_PAIRS_LIMIT).
     te           W1(f nu, nu) <= sqrt( sqrt(2 theta_m)/K_TI * Ent(f) ) where
                  1/K_TI is the best available transport-information constant
                  (from K(infinity) alone where kappa is out of reach).
@@ -294,8 +354,16 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
     inequalities themselves are then false; to surface this reliably, the
     normalized indicator of each invariant block is always tried alongside
     the random densities (a block indicator has zero information but positive
-    transport cost, so every finite information constant fails on it). Each
-    density's W1(f nu, nu) is memoized per space, so the three kinds share it.
+    transport cost, so every finite information constant fails on it).
+
+    Only the largest ratio is read, so the densities are taken in order of
+    decreasing ratio bound, ``_w1_upper`` over the right side (infinite for a
+    right side of 0 unless the bound is at most 1e-12, which certifies ratio
+    0). The search stops once the next bound is below the running maximum by
+    more than a relative PRUNE_RTOL; the density that sets the maximum still
+    gets its exact W1, so the result is that of solving every density. Each
+    density's W1(f nu, nu) and its bound are memoized per space, so the three
+    kinds share them.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1 (got {trials})")
@@ -319,7 +387,7 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
         k = kappa_global(space)
         if k is None:
             if kind == "ti_ollivier":
-                raise HypothesisError("coarse Ricci curvature needs more pair LPs than all pairs "
+                raise HypothesisError("coarse Ricci curvature needs a pair family larger than all pairs "
                                       f"at n = {ALL_PAIRS_LIMIT}")
         elif np.isfinite(k) and k > 0:
             kappa = float(k)
@@ -339,16 +407,28 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
     if len(blocks) > 1:
         densities += [b.mask / float(nu @ b.mask) for b in blocks]
 
-    worst = 0.0
+    def ratio(w1, r):  # a right side of 0 fails unless the left side is 0 as well
+        if r == 0.0:
+            return 0.0 if w1 <= 1e-12 else math.inf
+        return float(w1 / r)
+
+    rhs, bounds = [], []
     for f in densities:
-        lhs = _linalg.memo(space, ("w1_to_nu", f.tobytes()), lambda: _w1(space, f * nu, nu)[0])
         if kind == "te":
-            rhs = np.sqrt(root2theta / k_ti * max(divergences(space, f).entropy, 0.0))
+            r = np.sqrt(root2theta / k_ti * max(divergences(space, f).entropy, 0.0))
         else:
-            rhs = root2theta / (k_be or kappa) * np.sqrt(divergences(space, f).fisher)
-        if rhs == 0.0:
-            ratio = 0.0 if lhs <= 1e-12 else np.inf
-        else:
-            ratio = lhs / rhs
-        worst = max(worst, float(ratio))
+            r = root2theta / (k_be or kappa) * np.sqrt(divergences(space, f).fisher)
+        ub = _linalg.memo(space, ("w1_upper_to_nu", f.tobytes()), lambda: _w1_upper(space, f * nu, nu))
+        rhs.append(r)
+        bounds.append(ratio(ub, r))
+
+    # largest ratio bound first; a density whose bound falls below the running
+    # maximum by more than PRUNE_RTOL cannot set it, nor can any after it
+    worst = 0.0
+    for k in sorted(range(len(densities)), key=bounds.__getitem__, reverse=True):
+        if worst == math.inf or bounds[k] < worst * (1.0 - PRUNE_RTOL):
+            break
+        f = densities[k]
+        lhs = _linalg.memo(space, ("w1_to_nu", f.tobytes()), lambda: _w1(space, f * nu, nu)[0])
+        worst = max(worst, ratio(lhs, rhs[k]))
     return worst

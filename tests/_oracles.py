@@ -2,11 +2,16 @@
 
 Everything here is deliberately written the slow, obvious way (plain loops,
 exhaustive enumeration) and shares no code with the library paths it checks.
+The one exception is ``point_forms``, which assembles the library's per-point
+Gamma2 matrix so that the tests can check it against ``gamma2`` directly.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+
+from mrws.curvature import _gamma2_matrix
 
 
 def w1_bruteforce(mu, nu, cost):
@@ -184,3 +189,30 @@ def cheeger_chunked(space):
         if ratio[k] < best:  # an earlier chunk keeps a tie
             best, best_id = float(ratio[k]), int(ids[k])
     return best, best_id
+
+
+@dataclass(frozen=True)
+class PointQuadraticForms:
+    """Per-point forms on all n points, with f.gamma_forms[x] f = Gamma(f)(x), likewise
+    Gamma2, and laplacian_rows[x] @ f = (Lf)(x). O(n^3) memory, for small spaces."""
+
+    gamma_forms: np.ndarray  # (n, n, n), [x] is the form of Gamma(.)(x)
+    gamma2_forms: np.ndarray
+    laplacian_rows: np.ndarray  # (n, n)
+
+
+def point_forms(space):
+    """Both forms ignore constants: each is C^T A C, with C = I - 1 e_x^T mapping f to
+    f - f(x) and A the form on fields with f(x) = 0; A is ``curvature._gamma2_matrix``
+    on all n points for Gamma2, at infinite dimension."""
+    P = space.kernel
+    P2 = P @ P
+    n = space.n
+    B = np.empty((n, n, n))
+    M2 = np.empty((n, n, n))
+    for x in range(n):
+        C = np.eye(n)
+        C[:, x] -= 1.0
+        B[x] = C.T @ (0.5 * P[x, :, None] * C)
+        M2[x] = C.T @ _gamma2_matrix(P, P2, x, np.arange(n), np.inf) @ C
+    return PointQuadraticForms(B, M2, P - np.eye(n))

@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from mrws import Space, builders
+from mrws.transport import _w1
 
 
 @pytest.fixture
@@ -52,3 +53,33 @@ def random_tree_space(n, rng, self_loops=True):
         weight[np.diag_indices(n)] = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.5)
     deg = weight.sum(axis=1)
     return Space(tuple(range(n)), metric, weight / deg[:, None], deg)
+
+
+PRUNING_KINDS = ("sparse", "dense", "explicit", "k3k3")
+
+
+def pruning_space(kind, rng):
+    """A small space on which the LP-free W1 bounds must never prune the
+    extremum: a random graph-metric walk with a sparse or a dense kernel
+    (sentinel distances when it is not connected), the same kernels under a
+    Euclidean metric of random points (explicit, not a path metric), or
+    K3 and K3 side by side at the sentinel distance."""
+    if kind == "k3k3":
+        return builders.disjoint_union(builders.k3(), builders.k3())
+    n = int(rng.integers(3, 13))
+    density = float(rng.uniform(0.1, 0.35) if kind == "sparse" else rng.uniform(0.6, 1.0))
+    sp = builders.random_reversible_space(n, rng, density=density,
+                                          connected=bool(rng.random() < 0.6),
+                                          self_loops=bool(rng.random() < 0.4))
+    if kind != "explicit":
+        return sp
+    x = rng.uniform(0.0, 1.0, (n, 2))
+    metric = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+    return Space(sp.labels, metric, sp.kernel, sp.measure)
+
+
+def loose_w1_upper(rng):
+    """A stand-in for ``transport._w1_upper``: the exact W1 times a random
+    factor in [1, 1.5), an upper bound that is loose and ranks the costs out
+    of order. A best-first search must find its extremum with any bound."""
+    return lambda space, a, b: _w1(space, a, b)[0] * (1.0 + 0.5 * rng.random())

@@ -19,7 +19,6 @@ from mrws import (
     lipschitz_contraction_check,
     ollivier_global,
     ollivier_kappa,
-    point_forms,
     propagate_measure,
     spectral_gap,
     verify_transport_inequality,
@@ -39,11 +38,11 @@ from mrws.builders import (
     random_reversible_space,
     two_block as make_two_block,
 )
-from mrws.curvature import _needed_pairs, kappa_global
-from mrws.transport import _tree
+from mrws.curvature import _needed_pairs, _pair_kappa, kappa_global
+from mrws.transport import PRUNE_RTOL, _tree, _w1_upper
 
 import _oracles
-from conftest import random_spaces, random_tree_space
+from conftest import PRUNING_KINDS, loose_w1_upper, pruning_space, random_spaces, random_tree_space
 
 
 def test_gamma_constant_is_zero(p3):
@@ -113,7 +112,7 @@ def test_gamma2_integral_identity(rng):
 
 def test_forms_match_direct_evaluation(rng):
     for sp in random_spaces(4, rng, n_hi=8):
-        forms = point_forms(sp)
+        forms = _oracles.point_forms(sp)
         for _ in range(12):
             f = rng.standard_normal(sp.n)
             g = gamma(sp, f).values
@@ -127,7 +126,7 @@ def test_forms_match_direct_evaluation(rng):
 
 def test_gamma_forms_are_psd(rng):
     for sp in random_spaces(6, rng):
-        forms = point_forms(sp)
+        forms = _oracles.point_forms(sp)
         for x in range(sp.n):
             assert np.linalg.eigvalsh(forms.gamma_forms[x]).min() >= -1e-10
 
@@ -343,22 +342,62 @@ def test_needed_pair_counts():
     assert len(_needed_pairs(grid)) == 199  # the neighbours on the line; 594 support edges
 
 
-def test_kappa_global_on_two_block_solves_21_pair_lps(two_block, monkeypatch):
+def _skipped_pairs(sp, kappa):
+    """The needed pairs ``kappa_global`` left unsolved (no pair curvature in
+    the memo), each checked to be certified by its bound: 1 - _w1_upper / d
+    exceeds kappa by more than the pruning margin."""
+    memo = _linalg._MEMO[sp]
+    skipped = [(i, j) for i, j in _needed_pairs(sp) if ("kappa", i, j) not in memo]
+    for i, j in skipped:
+        lower = 1.0 - _w1_upper(sp, sp.kernel[i], sp.kernel[j]) / sp.metric[i, j]
+        assert lower > kappa + PRUNE_RTOL * max(1.0, abs(kappa))
+    return skipped
+
+
+def test_kappa_global_on_two_block_solves_one_of_21_pair_lps(two_block, monkeypatch):
     solves = _count_w1(monkeypatch)
     kappa = kappa_global(two_block)
-    assert len(solves) == 21
+    assert len(solves) == 1
+    assert len(solves) + len(_skipped_pairs(two_block, kappa)) == 21
     assert kappa == ollivier_global(two_block, "all_pairs").kappa_global
-    assert len(solves) == 231  # all pairs solve the other 210 once each
+    assert len(solves) == 231  # all pairs solve the other 230 once each
 
 
-def test_non_geodesic_metric_takes_all_pairs(two_block, monkeypatch):
+def test_kappa_global_prunes_the_benchmark_space(monkeypatch):
+    sp = random_reversible_space(40, np.random.default_rng(0), density=0.5)
+    solves = _count_w1(monkeypatch)
+    kappa = kappa_global(sp)
+    assert len(solves) == 13
+    assert len(solves) + len(_skipped_pairs(sp, kappa)) == len(_needed_pairs(sp)) == 392
+
+
+def test_non_geodesic_metric_keeps_all_pairs_in_the_family(two_block, monkeypatch):
     sp = _p3_shortcut()
     solves = _count_w1(monkeypatch)
     assert _needed_pairs(sp) == ((0, 1), (0, 2), (1, 2))  # the non-edge (a, c) too
-    assert kappa_global(sp) == ollivier_global(sp, "all_pairs").kappa_global
+    kappa = kappa_global(sp)
+    # both edges have kappa 0; (a, c) has the point-mass bound, kappa = 1, and is skipped
+    assert len(solves) == 2
+    assert _skipped_pairs(sp, kappa) == [(0, 2)]
+    assert kappa == ollivier_global(sp, "all_pairs").kappa_global
     assert len(solves) == 3
     # no support edge joins the blocks; of the cross pairs only the closest is needed
     assert kappa_global(two_block) == ollivier_global(two_block, "all_pairs").kappa_global
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(PRUNING_KINDS), seed=st.integers(0, 2 ** 32 - 1), loose=st.booleans())
+def test_pruned_kappa_global_is_the_least_needed_pair_kappa(kind, seed, loose):
+    rng = np.random.default_rng(seed)
+    sp = pruning_space(kind, rng)
+    with pytest.MonkeyPatch.context() as mp:
+        if loose:
+            mp.setattr(curvature, "_w1_upper", loose_w1_upper(rng))
+        kappa = kappa_global(sp)  # first, so only the pruned search fills the memo
+    if not loose:
+        _skipped_pairs(sp, kappa)
+    exhaustive = min((_pair_kappa(sp, i, j)[0] for i, j in _needed_pairs(sp)), default=math.inf)
+    assert kappa.hex() == float(exhaustive).hex()
 
 
 def test_kappa_global_above_all_pairs_limit(monkeypatch):
@@ -378,8 +417,9 @@ def test_kappa_global_above_all_pairs_limit(monkeypatch):
 def test_each_pair_lp_runs_once(monkeypatch):
     sp = random_reversible_space(8, np.random.default_rng(4), density=0.4)
     solves = _count_w1(monkeypatch)
-    kappa_global(sp)
-    assert len(solves) == len(_needed_pairs(sp))
+    kappa = kappa_global(sp)
+    assert len(solves) == 7
+    assert len(solves) + len(_skipped_pairs(sp, kappa)) == len(_needed_pairs(sp)) == 11
     edges = ollivier_global(sp, "support_edges").kappa_pairs
     assert len(solves) == len(edges)
     assert len(edges) < 28  # the family has non-edge pairs
@@ -493,6 +533,9 @@ def test_memo_entry_dies_with_its_space():
     assert len(_linalg._MEMO[sp]) == 20  # one entry per result, all on this space: BE, the
     # decomposition, the invariant blocks, the all-pairs curvature, its 15 pair
     # curvatures and the tree test of the transport dispatch
+    kappa_global(sp)
+    assert len(_linalg._MEMO[sp]) == 22  # the needed pairs and the global curvature; its
+    # pair curvatures are the all-pairs ones, and the bounds are not kept
     ref = weakref.ref(sp)
     gc.collect()
     before = len(_linalg._MEMO)

@@ -1,6 +1,9 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrws import (
@@ -14,10 +17,10 @@ from mrws import (
 )
 from mrws import Space, curvature, transport
 from mrws.builders import grid_kernel_neumann, lazy_cycle, two_block_halves
-from mrws.transport import _marginal_constraints, _tree, _w1
+from mrws.transport import KINDS, _marginal_constraints, _tree, _w1, _w1_upper
 
 import _oracles
-from conftest import random_spaces, random_tree_space
+from conftest import PRUNING_KINDS, loose_w1_upper, pruning_space, random_spaces, random_tree_space
 
 
 def test_identical_marginals_give_diagonal_plan(p3):
@@ -242,16 +245,21 @@ def test_verifiers_solve_each_w1_once(k3, monkeypatch):
                                                kind, trials=20, rng=0)
              for kind in ("ti_be", "ti_ollivier", "te")}
     curvature.kappa_global(k3)  # the pair W1 of ti_ollivier, outside the count
-    calls = []
+    calls, bounds = [], []
     for mod in (transport, curvature):
         monkeypatch.setattr(mod, "_w1", lambda *a, real=mod._w1: calls.append(1) or real(*a))
+    monkeypatch.setattr(transport, "_w1_upper",
+                        lambda *a, real=transport._w1_upper: bounds.append(1) or real(*a))
     assert verify_transport_inequality(k3, "ti_be", trials=20, rng=0) == fresh["ti_be"]
-    assert calls
-    first = len(calls)
-    # the same seed draws the same densities, so the other two kinds reuse every W1
+    # the 20 draws hold 16 distinct densities; every one is bounded, one is solved
+    # exactly, and the bounds of the other 15 fall below its ratio
+    assert len(bounds) == 16
+    assert len(calls) == 1
+    # the same seed draws the same densities, so the other two kinds reuse every
+    # bound, and the density each needs solved is the one already solved
     assert verify_transport_inequality(k3, "ti_ollivier", trials=20, rng=0) == fresh["ti_ollivier"]
     assert verify_transport_inequality(k3, "te", trials=20, rng=0) == fresh["te"]
-    assert len(calls) == first
+    assert (len(calls), len(bounds)) == (1, 16)
 
 
 def test_verifier_exposes_failure_on_disconnected_space(two_block):
@@ -386,3 +394,98 @@ def test_w1_dispatch_keeps_the_input_checks(p3):
         with pytest.raises(ValueError, match="mass imbalance"):
             check(p3, [1e-13, 0, 0], np.zeros(3))
     assert _w1(p3, np.zeros(3), np.zeros(3)) == (0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# LP-free W1 bounds, and the best-first maxima they prune
+
+
+def _bound_cases(sp, rng):
+    """Marginal pairs of the kinds the searches bound: jump laws of two
+    points, a density's measure against the stationary one, random vectors."""
+    i, j = rng.choice(sp.n, 2, replace=False)
+    f = random_density(sp, rng)
+    return [(sp.kernel[i], sp.kernel[j]), (f * sp.nu, sp.nu), _random_marginals(rng, sp.n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(PRUNING_KINDS), seed=st.integers(0, 2 ** 32 - 1))
+def test_w1_upper_bounds_the_lp(kind, seed):
+    rng = np.random.default_rng(seed)
+    sp = pruning_space(kind, rng)
+    for _ in range(3):
+        for a, b in _bound_cases(sp, rng):
+            assert _w1_upper(sp, a, b) >= wasserstein(sp, a, b).cost - 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(PRUNING_KINDS + ("tree",)), seed=st.integers(0, 2 ** 32 - 1))
+def test_w1_upper_is_the_closed_form_where_there_is_one(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "tree":
+        sp = random_tree_space(int(rng.integers(2, 20)), rng, self_loops=bool(rng.random() < 0.5))
+        cases = [_random_marginals(rng, sp.n) for _ in range(5)]
+    else:
+        sp = pruning_space(kind, rng)
+        cases = []
+    delta = np.zeros(sp.n)
+    delta[rng.integers(sp.n)] = 1.0
+    cases += [(delta, sp.kernel[rng.integers(sp.n)]), (sp.nu, delta)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "linprog", None)  # every case here has a closed form
+        for a, b in cases:
+            assert _w1_upper(sp, a, b) == _w1(sp, a, b)[0]
+
+
+def _outcome(space, kind, trials, seed):
+    try:
+        return verify_transport_inequality(space, kind, trials=trials, rng=seed).hex()
+    except HypothesisError as e:
+        return str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(PRUNING_KINDS), seed=st.integers(0, 2 ** 32 - 1),
+       trials=st.integers(1, 30), loose=st.booleans())
+@example(kind="k3k3", seed=0, trials=5, loose=False)
+def test_pruned_verifier_maximum_is_the_exhaustive_one(kind, seed, trials, loose):
+    sp = pruning_space(kind, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        if loose:
+            mp.setattr(transport, "_w1_upper", loose_w1_upper(np.random.default_rng(seed)))
+        pruned = {k: _outcome(sp, k, trials, seed) for k in KINDS}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_w1_upper", lambda *a: math.inf)  # no density can be skipped
+        fresh = Space(sp.labels, sp.metric, sp.kernel, sp.measure, sp.metric_sentinel)  # empty memo
+        exhaustive = {k: _outcome(fresh, k, trials, seed) for k in KINDS}
+    assert pruned == exhaustive
+    if kind == "k3k3":  # a block indicator: zero information at positive transport cost
+        assert pruned["ti_be"] == math.inf.hex()
+
+
+def test_verifier_maximum_over_near_tied_ratios(k3):
+    # tilts of the slow mode whose ratios differ by a few per cent, ranked by a
+    # loose bound that reorders them: only the stopping rule keeps the maximum
+    tilts = [np.exp(lam * np.array([1.0, 0.0, -1.0])) for lam in np.linspace(0.5, 0.7, 40)]
+    tilts = [g / float(k3.nu @ g) for g in tilts]
+
+    def maxima(bound):
+        sp = Space(k3.labels, k3.metric, k3.kernel, k3.measure)
+        draws = itertools.cycle(tilts)  # each kind draws the 40 tilts in turn
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transport, "random_density", lambda space, rng: next(draws))
+            mp.setattr(transport, "_w1_upper", bound)
+            return {k: verify_transport_inequality(sp, k, trials=len(tilts), rng=0) for k in KINDS}
+
+    exhaustive = maxima(lambda *a: math.inf)
+    for seed in range(5):
+        assert maxima(loose_w1_upper(np.random.default_rng(seed))) == exhaustive
+
+
+def test_verifier_ranks_a_zero_right_side_first(two_block, monkeypatch):
+    # the block indicators have zero information, so their ratio is infinite;
+    # their bound ranks them first, and one exact W1 settles the maximum
+    calls = []
+    monkeypatch.setattr(transport, "_w1", lambda *a, real=transport._w1: calls.append(1) or real(*a))
+    assert verify_transport_inequality(two_block, "ti_be", trials=20, rng=0) == math.inf
+    assert len(calls) == 1
