@@ -5,6 +5,10 @@ keys are sorted and floats are rendered with 17 significant digits, so equal
 inputs give byte-identical reports (timings are opt-in precisely because they
 would break that).
 
+Every input document is read as bytes and decoded as UTF-8, whatever the
+locale; before the one orjson-first reader, only ``analyze`` did, and the
+other subcommands read their files in the locale's text mode.
+
 Exit codes: 0 success, 1 structural error, 2 validation failure,
 3 hypothesis failure, 64 usage error.
 """
@@ -19,6 +23,7 @@ import sys
 import time
 
 import numpy as np
+import orjson
 
 from . import __version__, builders, connectivity, curvature, geometry, spectral, transport
 from .core import (HypothesisError, ScalarField, StructuralError, space_from_json,
@@ -65,14 +70,44 @@ def _emit(obj):
     sys.stdout.write(_dumps(obj) + "\n")
 
 
+def _read_json(path):
+    """The JSON document at ``path``, and its bytes.
+
+    orjson parses it where it can. What orjson refuses (NaN, Infinity, 1e400,
+    a BOM, invalid UTF-8, a lone surrogate), and a document whose labels hold
+    an integer too wide for 64 bits, which orjson would round to a float, go
+    to ``json``; so every input gives the object, or the error, ``json`` gives.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        obj = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        pass
+    else:
+        if not (isinstance(obj, dict) and _wide_int(obj.get("labels"))):
+            return obj, raw
+    return json.loads(raw.decode()), raw
+
+
+def _wide_int(x) -> bool:
+    """Whether x holds an integral float of magnitude 2^63 or more: where
+    orjson gives one, the document may have held a wider integer."""
+    if isinstance(x, float):
+        return abs(x) >= 2.0 ** 63 and x.is_integer()
+    if isinstance(x, list):
+        return any(map(_wide_int, x))
+    if isinstance(x, dict):
+        return any(map(_wide_int, x.values()))
+    return False
+
+
 def _load_space(path):
-    with open(path) as fh:
-        return space_from_json(json.load(fh))
+    return space_from_json(_read_json(path)[0])
 
 
 def _load_field(space, path) -> ScalarField:
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj, _ = _read_json(path)
     if not isinstance(obj, dict) or "values" not in obj:
         raise StructuralError("field JSON must be an object with a 'values' array")
     return ScalarField(space, np.asarray(obj["values"], dtype=float))
@@ -214,9 +249,8 @@ def _cmd_verify(args) -> int:
 def _cmd_analyze(args) -> int:
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1 (got {args.trials})")
-    with open(args.space, "rb") as fh:
-        raw = fh.read()
-    space = space_from_json(json.loads(raw.decode()))
+    obj, raw = _read_json(args.space)
+    space = space_from_json(obj)
 
     timings = {}
 

@@ -6,9 +6,15 @@ the symmetrized kernel, and classical fourth-order Runge-Kutta integration of
 du/dt = (P - I) u. They agree to ~1e-9 and cross-check each other in tests.
 
 On this linear system one Runge-Kutta step is a fixed matrix R, so the rk4
-route either builds R once and applies its power by repeated squaring, or
-steps the field directly, whichever its cost estimate makes cheaper; it never
-uses the eigendecomposition.
+route either applies a power of R by repeated squaring, or steps the field
+directly, whichever its cost estimate makes cheaper; it never uses the
+eigendecomposition.
+
+A time grid is evaluated in one pass, not time by time. The series of every
+time starts from the same terms P^k u0, which are computed once for the grid.
+The rk4 times powered with the same step length share one R, built once, and
+one chain of its squarings. Each state is bit-identical to evolving its time
+alone.
 """
 
 from __future__ import annotations
@@ -47,71 +53,112 @@ def heat_evolve(space: Space, u0, t: float, method: str = "series", tol: float =
     methods ignore it. The series keeps exact zeros across kernel-disconnected
     blocks, which the spectral route cannot guarantee at roundoff level.
     """
+    return _evolve(space, u0, [t], method, tol)[0]
+
+
+def _evolve(space: Space, u0, ts, method: str, tol: float) -> list:
+    """States of the flow at each time of ts, by one pass over all of them.
+
+    Each state is bit-identical to evolving its time alone: the series shares
+    the terms P^k u0 of its first step, and rk4 shares each step matrix and
+    its squarings among the times powered with the same step length."""
     v = as_values(space, u0)
     if not np.isfinite(v).all():  # before any route: the series would never converge on it
         raise StructuralError("field contains non-finite entries")
-    if not 0 <= t < np.inf:  # also rejects NaN, on which the series would never stop
-        raise ValueError("t must be finite and >= 0")
+    for t in ts:
+        if not 0 <= t < np.inf:  # also rejects NaN, on which the series would never stop
+            raise ValueError("t must be finite and >= 0")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if t == 0.0:
-        return ScalarField(space, v.copy())
+    out = [None] * len(ts)  # a state left at None is u0
+    live = [i for i, t in enumerate(ts) if t != 0.0]
+    P = space.kernel
     if method == "series":
-        steps = int(np.ceil(t / SERIES_STEP))
-        out = v
-        for _ in range(steps):
-            out = _evolve_series(space.kernel, out, t / steps, tol / steps)
+        # a time so small that t / SERIES_STEP underflows to zero takes no step
+        steps = {i: int(np.ceil(ts[i] / SERIES_STEP)) for i in live}
+        live = [i for i in live if steps[i]]
+        if live:
+            firsts = _evolve_series(P, v, [ts[i] / steps[i] for i in live], [tol / steps[i] for i in live])
+            for i, u in zip(live, firsts):
+                for _ in range(steps[i] - 1):
+                    u = _evolve_series(P, u, [ts[i] / steps[i]], [tol / steps[i]])[0]
+                out[i] = u
     elif method == "spectral":
-        out = _linalg.heat_apply(space, v, float(t))
+        for i in live:
+            out[i] = _linalg.heat_apply(space, v, float(ts[i]))
     else:
-        out = _evolve_rk4(space.kernel, v, float(t))
-    return ScalarField(space, out)
+        for i, u in zip(live, _evolve_rk4(P, v, [float(ts[i]) for i in live])):
+            out[i] = u
+    return [ScalarField(space, v.copy() if u is None else u) for u in out]
 
 
-def _evolve_series(P: np.ndarray, u0: np.ndarray, t: float, tol: float) -> np.ndarray:
+def _evolve_series(P: np.ndarray, u0: np.ndarray, ts, tols) -> list:
+    """e^{t(P - I)} u0 for each t of ts, truncated within the matching tol,
+    along one shared sequence of terms P^k u0."""
     sup = float(np.abs(u0).max())
-    coef = np.exp(-t)  # e^{-t} t^k / k!, folded in up front to avoid overflow
-    acc = coef * u0
+    coefs = [np.exp(-t) for t in ts]  # e^{-t} t^k / k!, folded in up front to avoid overflow
+    accs = [coef * u0 for coef in coefs]
+    live = range(len(ts))
     term = u0
     k = 0
-    while True:
+    while live:
         k += 1
         term = P @ term
-        coef *= t / k
-        acc = acc + coef * term
-        # tail: sum_{j>k} e^{-t} t^j/j! <= coef * rho/(1-rho), rho = t/(k+1)
-        rho = t / (k + 1)
-        if rho < 1.0 and sup * coef * rho / (1.0 - rho) < tol:
-            return acc
-        if k > 1000 + 10 * t:  # unreachable for t in the supported range
-            raise RuntimeError("series truncation failed to converge")
+        still = []
+        for i in live:
+            t = ts[i]
+            coefs[i] *= t / k
+            accs[i] = accs[i] + coefs[i] * term
+            # tail: sum_{j>k} e^{-t} t^j/j! <= coef * rho/(1-rho), rho = t/(k+1)
+            rho = t / (k + 1)
+            if rho < 1.0 and sup * coefs[i] * rho / (1.0 - rho) < tols[i]:
+                continue
+            if k > 1000 + 10 * t:  # unreachable for t in the supported range
+                raise RuntimeError("series truncation failed to converge")
+            still.append(i)
+        live = still
+    return accs
 
 
-def _evolve_rk4(P: np.ndarray, u0: np.ndarray, t: float) -> np.ndarray:
-    # at least 10 steps, none longer than 0.005: the O(h^4) global error sits well below 1e-9
-    steps = max(10, int(np.ceil(t / 0.005)))
-    h = t / steps
+def _evolve_rk4(P: np.ndarray, u0: np.ndarray, ts) -> list:
     n = len(u0)
-    # In matrix-vector products: powering ~ (4 + log2 steps) matrix products of ~n/10 each (measured
-    # 0.07-0.27 n for n = 10-1500, one BLAS thread) plus popcount(steps); stepping 4 per step.
-    if (3 + steps.bit_length()) * n / 10 + steps.bit_count() < 4 * steps:
-        # R = I + B is kept as B, so rounding scales with B (~h), not with I; squaring
-        # R itself let constants drift by 1.1e-12 over 6400 steps on an n = 700 grid.
-        B = _rk4_increment(P, h, np.eye(n))
+    out = [None] * len(ts)
+    powered = {}  # step length -> [(index, steps)]
+    for i, t in enumerate(ts):
+        # at least 10 steps, none longer than 0.005: the O(h^4) global error sits well below 1e-9
+        steps = max(10, int(np.ceil(t / 0.005)))
+        h = t / steps
+        # In matrix-vector products: powering ~ (4 + log2 steps) matrix products of ~n/10 each (measured
+        # 0.07-0.27 n for n = 10-1500, one BLAS thread) plus popcount(steps); stepping 4 per step.
+        if (3 + steps.bit_length()) * n / 10 + steps.bit_count() < 4 * steps:
+            powered.setdefault(h, []).append((i, steps))
+            continue
         u = u0
-        while True:  # u <- R^steps u by binary powering
-            if steps & 1:
-                u = u + B @ u
-            steps >>= 1
-            if not steps:
-                return u
+        for _ in range(steps):
+            u = u + _rk4_increment(P, h, u)
+        out[i] = u
+    for h, group in powered.items():
+        for (i, _), u in zip(group, _power_rk4(P, h, u0, [steps for _, steps in group])):
+            out[i] = u
+    return out
+
+
+def _power_rk4(P: np.ndarray, h: float, u0: np.ndarray, steps: list) -> list:
+    """R^s u0 for each s of steps, R one RK4 step of length h, along one
+    chain of squarings of R: at bit j every s with that bit set takes R^(2^j)."""
+    # R = I + B is kept as B, so rounding scales with B (~h), not with I; squaring
+    # R itself let constants drift by 1.1e-12 over 6400 steps on an n = 700 grid.
+    B = _rk4_increment(P, h, np.eye(len(u0)))
+    us = [u0] * len(steps)
+    for j in range(max(steps).bit_length()):
+        if j:
             B = B @ B + 2.0 * B  # R^2 = I + 2B + B^2
-    u = u0
-    for _ in range(steps):
-        u = u + _rk4_increment(P, h, u)
-    return u
+        for m, s in enumerate(steps):
+            if s >> j & 1:
+                us[m] = us[m] + B @ us[m]
+    return us
 
 
 def _rk4_increment(P: np.ndarray, h: float, X: np.ndarray) -> np.ndarray:
@@ -145,8 +192,7 @@ def heat_trajectory(space: Space, u0, times, method: str = "series", tol: float 
         raise ValueError("times must be >= 0")
     if ts[0] != 0.0:
         ts = [0.0] + ts
-    states = tuple(heat_evolve(space, u0, t, method=method, tol=tol) for t in ts)
-    return HeatTrajectory(tuple(ts), states, method)
+    return HeatTrajectory(tuple(ts), tuple(_evolve(space, u0, ts, method, tol)), method)
 
 
 def stationary_limit(space: Space, u0) -> ScalarField:

@@ -166,6 +166,69 @@ def rk4_stepwise(P, u0, t):
     return u
 
 
+def heat_series_per_time(P, u0, t, tol=1e-12):
+    """The series route for one time on its own: equal steps of at most 512,
+    each summing e^{-s} s^k/k! P^k u until the tail bound falls below
+    tol/steps. The library shares the terms of the first step across a time
+    grid; each of its states must equal this one bit for bit."""
+    P = np.asarray(P, float)
+    u = np.array(u0, dtype=float)
+    if t == 0.0:
+        return u
+    steps = int(np.ceil(t / 512.0))  # zero where t / 512 underflows: then u0 is returned
+    for _ in range(steps):
+        s, eps = t / steps, tol / steps
+        sup = float(np.abs(u).max())
+        coef = np.exp(-s)
+        acc = coef * u
+        term = u
+        k = 0
+        while True:
+            k += 1
+            term = P @ term
+            coef *= s / k
+            acc = acc + coef * term
+            rho = s / (k + 1)
+            if rho < 1.0 and sup * coef * rho / (1.0 - rho) < eps:
+                break
+        u = acc
+    return u
+
+
+def heat_rk4_per_time(P, u0, t):
+    """The rk4 route for one time on its own: its own step matrix R = I + B,
+    built from the identity and squared for each bit of the step count, or
+    plain stepping where the library's cost estimate says so. The library
+    shares R and its squarings across a time grid; each of its states must
+    equal this one bit for bit."""
+    P = np.asarray(P, float)
+    u = np.array(u0, dtype=float)
+    if t == 0.0:
+        return u
+    steps = max(10, int(np.ceil(t / 0.005)))
+    h = t / steps
+    n = len(u)
+
+    def increment(X):  # RX - X by Horner's rule on the Taylor polynomial of degree 4
+        Y = X
+        for j in (4, 3, 2):
+            Y = X + (h / j) * (P @ Y - Y)
+        return h * (P @ Y - Y)
+
+    if (3 + steps.bit_length()) * n / 10 + steps.bit_count() < 4 * steps:
+        B = increment(np.eye(n))
+        while True:
+            if steps & 1:
+                u = u + B @ u
+            steps >>= 1
+            if not steps:
+                return u
+            B = B @ B + 2.0 * B
+    for _ in range(steps):
+        u = u + increment(u)
+    return u
+
+
 def cheeger_chunked(space):
     """Exact Cheeger ratio and the lowest subset id attaining it, by the
     library's former scan: subset ids (point n-1 always outside) in chunks of

@@ -1,12 +1,16 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mrws import Space, space_to_json
 from mrws import cli, curvature, geometry
 from mrws.builders import (cycle, grid_kernel_neumann, k3 as make_k3, lazy_cycle, p3 as make_p3,
-                           two_block)
+                           random_reversible_space, two_block)
 from mrws.cli import main
 
 
@@ -354,3 +358,120 @@ def test_float_formatting_is_17_digits(tmp_path, capsys):
     main(["spectral", path])
     out = capsys.readouterr().out
     assert "0.99999999999999978" in out or '"gap":1' in out
+
+
+# ---------------------------------------------------------------------------
+# reading input documents
+
+
+def _same(a, b):
+    """Equal objects whose floats are bit-equal (json's and orjson's floats
+    compare equal across a sign of zero, and ints equal to floats)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+label_strategy = st.one_of(
+    st.integers(-2 ** 80, 2 ** 80), st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4),
+    st.lists(st.integers(-2 ** 80, 2 ** 80) | st.text(max_size=3), max_size=3))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(labels=st.lists(label_strategy, min_size=1, max_size=6), seed=st.integers(0, 2 ** 32 - 1),
+       density=st.floats(0.1, 1.0), render=st.sampled_from([cli._dumps, json.dumps]))
+def test_read_json_matches_json(tmp_path, labels, seed, density, render):
+    sp = random_reversible_space(len(labels), np.random.default_rng(seed), density=density)
+    doc = space_to_json(sp)
+    doc["labels"] = labels
+    path = tmp_path / "space.json"
+    path.write_text(render(doc))
+    obj, raw = cli._read_json(str(path))
+    assert raw == path.read_bytes()
+    assert _same(obj, json.loads(raw.decode()))
+
+
+@pytest.mark.parametrize("labels", [[2 ** 70, 2 ** 70 + 1, 2 ** 70 + 2], [[1, 2 ** 70], [1, 2 ** 70 + 1], "c"]])
+def test_labels_wider_than_64_bits_stay_exact(tmp_path, capsys, labels):
+    # orjson would read each wide integer as the float 1.1805916207174113e+21,
+    # which makes the three labels equal and the space invalid
+    obj = space_to_json(make_p3())
+    obj["labels"] = labels
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(obj))
+    assert cli._read_json(str(path))[0]["labels"] == labels
+    code, rep = run(capsys, ["validate", str(path)])
+    assert code == 0 and rep["ok"]
+    if not isinstance(labels[0], list):  # the label names the point at position 1
+        assert run(capsys, ["connect", str(path), "--set", str(2 ** 70 + 1)]) == \
+            run(capsys, ["connect", str(path), "--set", "1"])
+
+
+def _json_only(monkeypatch):
+    """Make the CLI read every document with json alone."""
+    def refuse(raw):
+        raise orjson.JSONDecodeError("refused", "", 0)
+
+    monkeypatch.setattr(cli, "orjson", SimpleNamespace(loads=refuse, JSONDecodeError=orjson.JSONDecodeError))
+
+
+def _p3_text(**changes):
+    obj = space_to_json(make_p3())
+    obj["labels"] = ["a", "b", "c"]
+    obj.update(changes)
+    return json.dumps(obj)
+
+
+EDGE_SPACES = {
+    "nan": _p3_text(measure=[float("nan"), 2.0, 1.0]).encode(),
+    "-infinity": _p3_text(measure=[-np.inf, 2.0, 1.0]).encode(),
+    "1e400": _p3_text().replace('"measure": [1.0', '"measure": [1e400').encode(),
+    "bom": b"\xef\xbb\xbf" + _p3_text().encode(),
+    "invalid utf-8": _p3_text().encode().replace(b'"a"', b'"\xff"'),
+    "lone surrogate": _p3_text().replace('"a"', '"\\ud800"').encode(),
+    "duplicate keys": ('{"measure": [9.0, 9.0, 9.0], ' + _p3_text()[1:]).encode(),
+    "trailing garbage": (_p3_text() + " x").encode(),
+}
+
+EDGE_FIELDS = {
+    "nan": b'{"values": [NaN, 0.0, 0.0]}',
+    "1e400": b'{"values": [1e400, 0.0, 0.0]}',
+    "bom": b'\xef\xbb\xbf{"values": [1.0, 0.0, 0.0]}',
+    "duplicate keys": b'{"values": [9.0], "values": [1.0, 0.0, 0.0]}',
+    "trailing garbage": b'{"values": [1.0, 0.0, 0.0]} x',
+}
+
+
+def _outcome(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_SPACES))
+def test_edge_space_documents_read_as_json_reads_them(tmp_path, capsys, monkeypatch, name):
+    path = tmp_path / "space.json"
+    path.write_bytes(EDGE_SPACES[name])
+    got = _outcome(capsys, ["validate", str(path)])
+    _json_only(monkeypatch)
+    assert got == _outcome(capsys, ["validate", str(path)])
+    # the readable ones parse, and the non-finite measures are flagged by validation
+    assert got[0] == {"nan": 2, "-infinity": 2, "1e400": 2, "duplicate keys": 0, "lone surrogate": 0}.get(name, 1)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FIELDS))
+def test_edge_field_documents_read_as_json_reads_them(tmp_path, capsys, monkeypatch, name):
+    space = write_space(tmp_path, make_p3())
+    field = tmp_path / "field.json"
+    field.write_bytes(EDGE_FIELDS[name])
+    argv = ["heat", space, "--init", str(field), "--t", "0.5"]
+    got = _outcome(capsys, argv)
+    _json_only(monkeypatch)
+    assert got == _outcome(capsys, argv)
+    assert got[0] == (0 if name == "duplicate keys" else 1)

@@ -17,7 +17,7 @@ from mrws import (
 )
 from mrws.builders import disjoint_union, grid_kernel_neumann, random_reversible_space, two_block_halves
 
-from _oracles import rk4_stepwise
+from _oracles import heat_rk4_per_time, heat_series_per_time, rk4_stepwise
 from conftest import random_spaces
 
 
@@ -246,6 +246,72 @@ def test_trajectory_prepends_time_zero(p3):
     assert traj.times[0] == 0.0
     np.testing.assert_array_equal(traj.states[0].values, [1.0, 0, 0])
     assert len(traj.states) == 3
+
+
+PER_TIME = {"series": heat_series_per_time, "rk4": heat_rk4_per_time}
+
+
+@pytest.mark.parametrize("method, times", [
+    ("series", [0.5, 2.0, 8.0, 32.0]),
+    ("series", [0.01, 511.0, 512.0, 513.0, 1023.5, 1024.0, 1030.0]),  # one, two and three steps
+    ("series", [5e-324, 1e-300, 0.5]),  # t / 512 underflows to zero steps at 5e-324
+    ("rk4", [0.01, 0.03, 0.0999, 0.3, 1.0, 4.0, 4.2, 32.0]),  # five step lengths
+    ("rk4", [4.0, 32.0, 32.0]),
+])
+def test_trajectory_matches_per_time_oracle(rng, monkeypatch, method, times):
+    sp = grid_kernel_neumann([(0.0, 1.0)], h=1 / 79, radius=0.05)  # n = 80
+    u0 = rng.standard_normal(sp.n)
+    operands = set()
+    increment = heat._rk4_increment
+
+    def recording(P, h, X):
+        operands.add(X.ndim)
+        return increment(P, h, X)
+
+    monkeypatch.setattr(heat, "_rk4_increment", recording)
+    traj = heat_trajectory(sp, u0, times, method=method)
+    for t, state in zip(traj.times, traj.states):
+        np.testing.assert_array_equal(state.values, PER_TIME[method](sp.kernel, u0, t))
+    if method == "rk4" and 0.01 in times:
+        assert operands == {1, 2}  # t = 0.01 and 0.03 stepped the field, the others powered R
+
+
+@settings(max_examples=30, deadline=None)
+@given(method=st.sampled_from(sorted(PER_TIME)), times=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=5),
+       **space_args)
+def test_trajectory_matches_per_time_oracle_property(method, times, seed, n, density, self_loops, split):
+    sp, u0 = _hypothesis_space(seed, n, density, self_loops, split)
+    traj = heat_trajectory(sp, u0, times, method=method)
+    for t, state in zip(traj.times, traj.states):
+        np.testing.assert_array_equal(state.values, PER_TIME[method](sp.kernel, u0, t))
+
+
+def test_rk4_grid_shares_one_step_matrix(rng, monkeypatch):
+    # grid-heat's rk4 grid 4,32 on its n = 700 space: both times take h = 0.005
+    # and are powered, so one R serves 800 and 6400 steps, with 12 squarings
+    # (evolved one by one, the two times built R twice and squared it 9 + 12 times)
+    sp = grid_kernel_neumann([(0.0, 1.0)], h=1 / 699, radius=0.2)
+    builds, squarings = [], []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            if np.ndim(other) == 2:
+                squarings.append(1)
+            return super().__matmul__(other)
+
+    increment = heat._rk4_increment
+
+    def recording(P, h, X):
+        out = increment(P, h, X)
+        if X.ndim == 2:
+            builds.append(h)
+            return out.view(Counted)
+        return out
+
+    monkeypatch.setattr(heat, "_rk4_increment", recording)
+    heat_trajectory(sp, rng.standard_normal(sp.n), [4.0, 32.0], method="rk4")
+    assert builds == [0.005]
+    assert len(squarings) == 12
 
 
 def test_stationary_limit_matches_mean(p3):
