@@ -29,7 +29,9 @@ __all__ = [
 ]
 
 EXACT_ENUM_LIMIT = 24
-_LOW_BITS = 16  # free points in the low block of the bipartition scan
+# free points in the low block of the bipartition scan: each tree node of its
+# walk adds one vector of 2**_LOW_BITS entries (13 was fastest at n = 24)
+_LOW_BITS = 13
 
 
 def _edge_mass(space: Space) -> np.ndarray:
@@ -157,30 +159,47 @@ def _bipartition_scan(space: Space):
     them) and a high block H, and a subset S into patterns b_L and b_H. The
     cut, the mass sent from S to its complement, splits the same way:
 
-        cut(S) = cut_L(b_L) + b_L Q_LH (1 - b_H) + (1 - b_L) Q_HL^T b_H + cut_H(b_H),
+        cut(S) = cut_L(b_L) + sum_{j in H} [j not in S] b_L Q_Lj
+                            + sum_{j in H} [j in S] (1 - b_L) Q_jL^T + cut_H(b_H),
 
     where cut_L is the mass from S_L to the rest of L and to point n-1, and
-    cut_H likewise for H. The terms in b_L alone are formed once for all
-    2^|L| low patterns, so each high pattern costs one 2^|L| x 2|H|
-    matrix-vector product and a few vector operations: O(2^(n-1) (n-1-|L|))
-    after an O(2^|L| |L|^2) set-up. Every term sums nonnegative masses, so
-    an invariant set's cut is exactly zero. Yields (first id, cut, mass) for
-    each high pattern, the ids being consecutive; the empty set is skipped.
+    cut_H likewise for H. Every term is a vector over the 2^|L| low
+    patterns, formed once. A depth-first walk over H, its highest point at
+    the top so that the leaves come in ascending id order, adds one of the
+    two rows of its point to the partial cut of its parent: 2^(|H|+1) vector
+    adds of length 2^|L| in all, after an O(2^|L| |L| n) set-up. Every term
+    sums nonnegative masses, so an invariant set's cut is exactly zero.
+
+    Yields (first id, cut, mass) for each high pattern, the ids being
+    consecutive; the empty set is skipped. The two arrays are reused: the
+    scan rewrites them before its next yield, so copy them to keep them.
     """
     n = space.n
     Q = _edge_mass(space)
     nu = space.nu
     w = min(_LOW_BITS, n - 1)
+    k = n - 1 - w
     L, H = np.arange(w), np.arange(w, n - 1)
     bl = _subset_bits(np.arange(1 << w, dtype=np.uint64), w)
-    bh = _subset_bits(np.arange(1 << len(H), dtype=np.uint64), len(H))
-    cut_l = np.einsum("mi,mi->m", bl @ Q[np.ix_(L, L)], 1.0 - bl) + bl @ Q[L, n - 1]
+    bh = _subset_bits(np.arange(1 << k, dtype=np.uint64), k)
     cut_h = np.einsum("mi,mi->m", bh @ Q[np.ix_(H, H)], 1.0 - bh) + bh @ Q[H, n - 1]
     mass_l, mass_h = bl @ nu[L], bh @ nu[H]
-    cross = np.hstack([bl @ Q[np.ix_(L, H)], (1.0 - bl) @ Q[np.ix_(H, L)].T])
-    for h, pick in enumerate(np.hstack([1.0 - bh, bh])):
-        cut = cut_l + cross @ pick + cut_h[h]
-        mass = mass_l + mass_h[h]
+    # rows[j, 0]: mass from S_L to H[j], outside S; rows[j, 1]: from H[j], in S, to L minus S_L
+    rows = np.empty((k, 2, 1 << w))
+    rows[:, 0] = Q[np.ix_(L, H)].T @ bl.T
+    rows[:, 1] = Q[np.ix_(H, L)] @ (1.0 - bl).T
+    # part[d]: cut_L plus the rows of the d highest points of H
+    part = np.empty((k + 1, 1 << w))
+    part[0] = np.einsum("mi,mi->m", bl @ Q[np.ix_(L, L)], 1.0 - bl) + bl @ Q[L, n - 1]
+    cut, mass = part[k], np.empty(1 << w)
+    for h in range(1 << k):
+        # from pattern h - 1 to h, bits t..0 of b_H flip: the deepest t + 1 partial
+        # cuts change, so part[k] is rewritten at every leaf and takes its cut in place
+        t = k - 1 if h == 0 else (h & -h).bit_length() - 1
+        for b in range(t, -1, -1):
+            np.add(part[k - 1 - b], rows[b, (h >> b) & 1], out=part[k - b])
+        cut += cut_h[h]
+        np.add(mass_l, mass_h[h], out=mass)
         if h == 0:
             yield 1, cut[1:], mass[1:]
         else:
@@ -193,9 +212,11 @@ def cheeger(space: Space, mode: str = "exact") -> CheegerResult:
     ``exact`` enumerates every bipartition (limited to n <= 24) with
     ``_bipartition_scan`` and reports its least ratio, accurate to a few ulps
     and exactly 0 on an invariant set, with the lowest subset id among ties
-    as the witness (its smaller side by mass); ``sweep`` orders points by the
-    second eigenvector and scans prefix cuts, returning an upper bound
-    together with the gap/2 lower bound from the Cheeger inequality.
+    as the witness (its smaller side by mass). It stops at the first block
+    whose least ratio is 0: nothing is lower, and a later id loses the tie.
+    ``sweep`` orders points by the second eigenvector and scans prefix cuts,
+    returning an upper bound together with the gap/2 lower bound from the
+    Cheeger inequality.
     """
     n = space.n
     if n < 2:
@@ -206,10 +227,14 @@ def cheeger(space: Space, mode: str = "exact") -> CheegerResult:
                 f"exact enumeration is limited to n <= {EXACT_ENUM_LIMIT}; use mode='sweep'")
         best, best_id = np.inf, None
         for lo, cut, mass in _bipartition_scan(space):
-            ratio = cut / np.minimum(mass, 1.0 - mass)
+            ratio = 1.0 - mass
+            np.minimum(mass, ratio, out=ratio)
+            np.divide(cut, ratio, out=ratio)
             j = int(np.argmin(ratio))  # first of the block's minima
             if ratio[j] < best:  # an earlier block keeps a tie
                 best, best_id = float(ratio[j]), lo + j
+                if best == 0.0:  # nothing is lower, and a later id loses the tie
+                    break
         mask = np.array([(best_id >> i) & 1 for i in range(n)], dtype=bool)
         if space.nu[mask].sum() > 0.5:
             mask = ~mask
@@ -254,4 +279,9 @@ def min_bipartition_interaction(space: Space) -> float:
         raise ValueError(f"exhaustive scan is limited to n <= {EXACT_ENUM_LIMIT}")
     if space.n < 2:
         raise ValueError("needs at least two points")
-    return min(float(cut.min()) for _, cut, _ in _bipartition_scan(space))
+    best = np.inf
+    for _, cut, _ in _bipartition_scan(space):
+        best = min(best, float(cut.min()))
+        if best == 0.0:  # no cut is lower
+            break
+    return best

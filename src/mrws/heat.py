@@ -97,7 +97,7 @@ def _evolve(space: Space, u0, ts, method: str, tol: float) -> list:
 def _evolve_series(P: np.ndarray, u0: np.ndarray, ts, tols) -> list:
     """e^{t(P - I)} u0 for each t of ts, truncated within the matching tol,
     along one shared sequence of terms P^k u0."""
-    sup = float(np.abs(u0).max())
+    sup = float(np.abs(u0).max(initial=0.0))  # 0 on an empty space, whose field stays empty
     coefs = [np.exp(-t) for t in ts]  # e^{-t} t^k / k!, folded in up front to avoid overflow
     accs = [coef * u0 for coef in coefs]
     live = range(len(ts))

@@ -346,16 +346,25 @@ def _relabelled(space, seed):
                  space.kernel[np.ix_(perm, perm)], space.measure[perm], space.metric_sentinel)
 
 
-# At 16 low bits the high-block loop first runs at n = 18; fewer make it run
-# on small spaces (TwoBlock, n = 22, takes 10 to keep its 2**11 high patterns
-# quick). In the relabelled 18-cycles, tied half arcs lie in both high
-# patterns, and the witness may be a half arc other than the oracle's.
+# At the default 13 low bits the walk over the high block first runs at
+# n = 15, and at 16 at n = 18; fewer make it run on small spaces, and 1 gives
+# the deepest tree. TwoBlock (n = 22) stops at its first zero cut, in the
+# first high pattern at 10 and 13 low bits and within 2**12 patterns at 1. In
+# the relabelled 18-cycles, tied half arcs lie in several high patterns, and
+# the witness may be a half arc other than the oracle's.
+_BUILDS = {
+    "cycle8": (lambda: cycle(8), [1, 3, 13, 16]),
+    "cycle12": (lambda: cycle(12), [1, 3, 13, 16]),
+    "K3": (make_k3, [1, 3, 13, 16]),
+    "TwoBlock": (lambda: two_block(0.1), [1, 10, 13, 16]),
+    "relabelled-cycle18": (lambda: _relabelled(cycle(18), 2), [1, 13, 16]),
+    "relabelled-lazy-cycle18": (lambda: _relabelled(lazy_cycle(18, 0.3), 2), [1, 13, 16]),
+}
+
+
 @pytest.mark.parametrize("build, low_bits", [
-    (lambda: cycle(8), 3), (lambda: cycle(8), 16), (lambda: cycle(12), 3), (lambda: cycle(12), 16),
-    (make_k3, 3), (make_k3, 16), (lambda: two_block(0.1), 10), (lambda: two_block(0.1), 16),
-    (lambda: _relabelled(cycle(18), 2), 16), (lambda: _relabelled(lazy_cycle(18, 0.3), 2), 16),
-], ids=["cycle8-3", "cycle8-16", "cycle12-3", "cycle12-16", "K3-3", "K3-16", "TwoBlock-10",
-        "TwoBlock-16", "relabelled-cycle18-16", "relabelled-lazy-cycle18-16"])
+    (build, low_bits) for build, bits in _BUILDS.values() for low_bits in bits
+], ids=[f"{name}-{low_bits}" for name, (_, bits) in _BUILDS.items() for low_bits in bits])
 def test_exact_cheeger_matches_chunked_oracle(build, low_bits, monkeypatch):
     monkeypatch.setattr(geometry, "_LOW_BITS", low_bits)
     _assert_matches_chunked_oracle(build())
@@ -363,7 +372,7 @@ def test_exact_cheeger_matches_chunked_oracle(build, low_bits, monkeypatch):
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 20), seed=st.integers(0, 2**32 - 1), connected=st.booleans(),
-       low_bits=st.sampled_from([3, 16]))
+       low_bits=st.sampled_from([1, 3, 13, 16]))
 def test_exact_cheeger_matches_chunked_oracle_property(n, seed, connected, low_bits):
     sp = random_spaces(1, np.random.default_rng(seed), n_lo=n, n_hi=n, connected=connected)[0]
     with pytest.MonkeyPatch.context() as mp:
@@ -383,7 +392,7 @@ def _least_perimeter(sp):
     return min(_oracles.perimeter_loops(sp, m) for m in masks)
 
 
-@pytest.mark.parametrize("low_bits", [3, 16])
+@pytest.mark.parametrize("low_bits", [1, 3, 13, 16])
 def test_min_bipartition_interaction_is_least_perimeter(low_bits, rng, monkeypatch):
     monkeypatch.setattr(geometry, "_LOW_BITS", low_bits)
     spaces = random_spaces(12, rng, n_lo=2, n_hi=9, connected=False) + [cycle(8), make_k3()]
@@ -405,3 +414,116 @@ def test_min_bipartition_interaction_on_two_block():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert min_bipartition_interaction(two_block(0.1)) == 0.0
+
+
+def _scan(sp):
+    """The scan's yields, copied: it rewrites its arrays before each yield."""
+    return [(lo, cut.copy(), mass.copy()) for lo, cut, mass in geometry._bipartition_scan(sp)]
+
+
+def _mask(code, n):
+    return np.array([(code >> i) & 1 for i in range(n)], dtype=bool)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_bipartition_scan_covers_every_id_once_with_exact_sums(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    spaces = random_spaces(1, rng, n_lo=n, n_hi=n)
+    # a disjoint union, each of whose invariant sets must come out with a cut of exactly 0
+    spaces.append(disjoint_union(random_spaces(1, rng, n_lo=n // 2, n_hi=n // 2, connected=False)[0],
+                                 random_spaces(1, rng, n_lo=n - n // 2, n_hi=n - n // 2)[0]))
+    eps = np.finfo(float).eps
+    for sp in spaces:
+        nu = _normalized(sp)
+        codes = range(1, 2 ** (n - 1))
+        ref_cut = [_oracles.perimeter_loops(sp, _mask(c, n)) for c in codes]
+        ref_mass = [math.fsum(nu[_mask(c, n)]) for c in codes]
+        for low_bits in sorted({1, 3, 13, n - 1}):
+            monkeypatch.setattr(geometry, "_LOW_BITS", low_bits)
+            ids, cuts, masses = [], [], []
+            for lo, cut, mass in _scan(sp):
+                ids.extend(range(lo, lo + len(cut)))
+                cuts.extend(cut)
+                masses.extend(mass)
+            assert ids == list(codes)  # ascending, each proper subset id once
+            for got, want in zip(cuts, ref_cut):
+                assert abs(got - want) <= 4 * n * eps * want  # exactly 0 where the cut is
+            for got, want in zip(masses, ref_mass):
+                assert abs(got - want) <= 4 * n * eps * want
+
+
+def _full_scan_cheeger(sp):
+    """Least ratio over every yield of the scan and the lowest id attaining it."""
+    best, best_id = np.inf, None
+    for lo, cut, mass in _scan(sp):
+        ratio = cut / np.minimum(mass, 1.0 - mass)
+        j = int(np.argmin(ratio))
+        if ratio[j] < best:
+            best, best_id = float(ratio[j]), lo + j
+    return best, best_id
+
+
+def _counted(scan, pulled):
+    """The scan, recording the first id of each pattern it yields."""
+    def counted(space):
+        for item in scan(space):
+            pulled.append(item[0])
+            yield item
+
+    return counted
+
+
+@pytest.mark.parametrize("low_bits", [1, 3, 13])
+def test_exact_scans_stop_at_their_first_zero(low_bits, rng, monkeypatch):
+    monkeypatch.setattr(geometry, "_LOW_BITS", low_bits)
+    spaces = [disjoint_union(make_k3(), make_k3())]
+    spaces += [disjoint_union(*random_spaces(2, rng, n_lo=1, n_hi=7, connected=False)) for _ in range(8)]
+    if low_bits == 13:
+        spaces.append(two_block(0.1))
+    full = [_full_scan_cheeger(sp) for sp in spaces]
+    pulled = []
+    monkeypatch.setattr(geometry, "_bipartition_scan", _counted(geometry._bipartition_scan, pulled))
+    for sp, (ratio, code) in zip(spaces, full):
+        assert ratio == 0.0
+        mask = _mask(code, sp.n)
+        if _normalized(sp)[mask].sum() > 0.5:
+            mask = ~mask
+        stop = (code >> low_bits) + 1  # patterns up to the one holding the first zero
+        pulled.clear()
+        res = cheeger(sp, mode="exact")
+        assert res.upper == res.lower == 0.0
+        np.testing.assert_array_equal(res.witness_set.mask, mask)
+        assert len(pulled) == stop
+        pulled.clear()
+        assert min_bipartition_interaction(sp) == 0.0
+        assert len(pulled) == stop  # a zero cut is a zero ratio
+    if low_bits == 13:  # TwoBlock, the last space: its first zero lies in the first of 2**8 patterns
+        assert (sp.n, stop) == (22, 1)
+
+
+def _weakly_linked(a, b, weight):
+    """Union of a and b joined by one edge of the given interaction mass."""
+    u = disjoint_union(a, b)
+    W = u.nu[:, None] * u.kernel
+    W[a.n - 1, a.n] = W[a.n, a.n - 1] = weight
+    deg = W.sum(axis=1)
+    return Space(u.labels, u.metric, W / deg[:, None], deg, u.metric_sentinel)
+
+
+@pytest.mark.parametrize("low_bits", [1, 3, 13])
+def test_exact_scans_run_to_the_end_above_zero(low_bits, monkeypatch):
+    monkeypatch.setattr(geometry, "_LOW_BITS", low_bits)
+    sp = _weakly_linked(cycle(6), cycle(9), 1e-200)  # least ratio ~1e-200, in the first pattern
+    ratio, code = _full_scan_cheeger(sp)
+    least_cut = min(float(cut.min()) for _, cut, _ in _scan(sp))
+    assert 0.0 < ratio < 1e-199 and code == 2 ** 6 - 1
+    pulled = []
+    monkeypatch.setattr(geometry, "_bipartition_scan", _counted(geometry._bipartition_scan, pulled))
+    every = 2 ** max(sp.n - 1 - low_bits, 0)
+    res = cheeger(sp, mode="exact")
+    assert res.upper == ratio
+    np.testing.assert_array_equal(res.witness_set.mask, _mask(code, sp.n))
+    assert len(pulled) == every
+    pulled.clear()
+    assert min_bipartition_interaction(sp) == least_cut
+    assert len(pulled) == every

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrws import (
+    Space,
     StructuralError,
     Subset,
     apply_laplacian,
@@ -246,6 +247,16 @@ def test_trajectory_prepends_time_zero(p3):
     assert traj.times[0] == 0.0
     np.testing.assert_array_equal(traj.states[0].values, [1.0, 0, 0])
     assert len(traj.states) == 3
+
+
+@pytest.mark.parametrize("method", ["series", "spectral", "rk4"])
+def test_empty_space_evolves_to_the_empty_field(method):
+    empty = Space((), np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0))
+    for t in (0.0, 1.0, 1000.0):
+        assert heat_evolve(empty, np.zeros(0), t, method=method).values.shape == (0,)
+    traj = heat_trajectory(empty, np.zeros(0), [0.5, 600.0], method=method)
+    assert traj.times == (0.0, 0.5, 600.0)
+    assert [u.values.shape for u in traj.states] == [(0,)] * 3
 
 
 PER_TIME = {"series": heat_series_per_time, "rk4": heat_rk4_per_time}
