@@ -27,6 +27,17 @@ def memo(space: Space, key, fn):
     return entries[key]
 
 
+def memo_many(space: Space, keys: list, fn) -> list:
+    """[memo(space, key, ...) for key in keys], with the keys not yet held
+    computed in one call: fn takes them, distinct and in first-seen order, and
+    returns their values in that order."""
+    entries = _MEMO.setdefault(space, {})
+    missing = list(dict.fromkeys(key for key in keys if key not in entries))
+    if missing:
+        entries.update(zip(missing, fn(missing)))
+    return [entries[key] for key in keys]
+
+
 def decomposition(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigendecomposition of the generator on L^2(nu), memoized and read-only.
 

@@ -406,12 +406,13 @@ def shortest_path_metric(kernel: np.ndarray) -> tuple[np.ndarray, float | None]:
     finite distance, so disconnected spaces still carry a usable matrix; the
     sentinel is reported so the triangle check can skip those entries.
     """
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
     n = kernel.shape[0]
     support = (kernel > 0) | (kernel.T > 0)
     np.fill_diagonal(support, False)
-    dist = shortest_path(support.astype(float), method="D", directed=False, unweighted=True)
+    dist = shortest_path(csr_matrix(support, dtype=float), method="D", directed=False, unweighted=True)
     finite = np.isfinite(dist)
     if finite.all():
         return dist, None

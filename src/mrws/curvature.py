@@ -225,7 +225,8 @@ def kappa_global(space: Space) -> float | None:
     ALL_PAIRS_LIMIT points; the support-edge infimum then only bounds the
     value from above.
 
-    A best-first search: ``_w1_upper`` bounds each pair's curvature from
+    A best-first search: one stacked ``_w1_upper`` call over the jump laws of
+    every needed pair, one pair per row, bounds each pair's curvature from
     below by 1 - bound / d(i, j), and the pairs are solved exactly in order of
     that bound. The search stops once the next bound exceeds the least
     curvature found by more than PRUNE_RTOL max(1, |kappa|); that pair and
@@ -238,8 +239,10 @@ def kappa_global(space: Space) -> float | None:
         return None
 
     def compute():
-        P, d = space.kernel, space.metric
-        lower = [1.0 - _w1_upper(space, P[i], P[j]) / float(d[i, j]) for i, j in pairs]
+        i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+        bounds = _w1_upper(space, space.kernel[i], space.kernel[j]).tolist()
+        # Python floats, so a zero distance raises as it does in _pair_kappa
+        lower = [1.0 - ub / d for ub, d in zip(bounds, space.metric[i, j].tolist())]
         best = math.inf
         for k in sorted(range(len(pairs)), key=lower.__getitem__):
             if lower[k] > best + PRUNE_RTOL * max(1.0, abs(best)):

@@ -11,7 +11,8 @@ Where only the W1 cost is read (the coarse Ricci curvature and the verifiers),
 forced when either marginal is a point mass, and on a tree metric W1 is the
 edge-weighted sum of the subtree imbalances, certified by a tree potential.
 Every other W1 cost comes from the LP of ``wasserstein``. ``_w1_upper`` bounds
-W1 from above without an LP (a greedy coupling where no closed form applies),
+W1 from above without an LP, for a whole stack of marginal pairs at once (a
+greedy coupling where no closed form applies, run for every row in lock step),
 so that a search for the largest or least of many costs solves only the LPs
 that can set it.
 """
@@ -27,7 +28,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree, shortest_path
 
 from . import _linalg
-from .core import HypothesisError, Space, _readonly, as_values
+from .core import HypothesisError, Space, StructuralError, _readonly, as_values
 from .spectral import dirichlet_energy
 
 __all__ = [
@@ -48,6 +49,9 @@ GEODESIC_RTOL = 1e-12
 # before a best-first search skips the LP it bounds: it covers the few ulps
 # by which a greedy coupling's float cost can undercut the exact one.
 PRUNE_RTOL = 1e-9
+# Most cells of the padded cost block in one lock-step pass of ``_w1_upper``
+# (16 MB); a row takes at most n^2 of them, so a pass takes that many rows.
+_BLOCK_CELLS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -80,19 +84,25 @@ def wasserstein(space: Space, mu, nu2, p: int = 1) -> TransportPlan:
 
 
 def _marginals(space: Space, mu, nu2) -> tuple[np.ndarray, np.ndarray]:
-    """Both marginals as arrays, checked to be nonnegative and of equal mass
-    (relative 1e-12; zero mass only against zero mass), the target rescaled to
-    the source's mass exactly."""
-    a = as_values(space, mu)
-    b = as_values(space, nu2)
-    if np.any(a < 0) or np.any(b < 0):
-        raise ValueError("marginals must be nonnegative")
-    ta, tb = float(a.sum()), float(b.sum())
-    if abs(ta - tb) > 1e-12 * max(1.0, ta, tb) or (ta == 0.0) != (tb == 0.0):
-        raise ValueError(f"mass imbalance: {ta} vs {tb}")
-    if ta == 0.0:
-        return a, b
-    return a, b * (ta / tb)  # balance exactly
+    """Both marginals as arrays, checked by ``_balanced``."""
+    a, b = _balanced(as_values(space, mu)[None], as_values(space, nu2)[None])
+    return a[0], b[0]
+
+
+def _balanced(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked marginal pairs, one per row, checked row by row to be
+    nonnegative and of equal mass (relative 1e-12; zero mass only against zero
+    mass), each target rescaled to its source's mass exactly. The first
+    failing row raises."""
+    negative = (np.minimum(A, B) < 0).any(axis=-1).tolist()
+    scale = []
+    for neg, ta, tb in zip(negative, A.sum(axis=-1).tolist(), B.sum(axis=-1).tolist()):
+        if neg:
+            raise ValueError("marginals must be nonnegative")
+        if abs(ta - tb) > 1e-12 * max(1.0, ta, tb) or (ta == 0.0) != (tb == 0.0):
+            raise ValueError(f"mass imbalance: {ta} vs {tb}")
+        scale.append(ta / tb if tb else 1.0)  # a zero row stays zero
+    return A, B * np.array(scale).reshape(-1, 1)  # balance exactly
 
 
 def _plan(space: Space, a: np.ndarray, b: np.ndarray, p: int) -> TransportPlan:
@@ -150,10 +160,11 @@ def _w1(space: Space, mu, nu2) -> tuple[float, float]:
     return plan.cost, plan.duality_gap
 
 
-def _w1_upper(space: Space, mu, nu2) -> float:
-    """An upper bound on W1 between two marginals, with the checks of ``_w1``
-    and without an LP: the exact cost where ``_w1`` has a closed form, else
-    the cost of a greedy coupling.
+def _w1_upper(space: Space, A, B) -> np.ndarray:
+    """Upper bounds on W1 between stacked marginal pairs, (m, n) arrays with
+    one pair per row, one bound per row; the rows get the checks of ``_w1``,
+    and no LP is solved. A row's bound is the exact cost where ``_w1`` has a
+    closed form, else the cost of a greedy coupling.
 
     The greedy keeps min(a, b) in place, at cost 0, and fills the cells of
     the residual a - min(a, b) to b - min(a, b) cheapest first, each as far as
@@ -161,32 +172,89 @@ def _w1_upper(space: Space, mu, nu2) -> float:
     W1 from above. Its float cost can sit a few ulps below the exact cost of
     the coupling, and the residual masses can differ by a few ulps; callers
     that rank by the bound keep a margin for both.
+
+    All greedy rows run in lock step. Each row's residual supports, in
+    ascending index order, index a padded block of the metric whose dead
+    cells (padding, and cells of an exhausted row or column) hold inf; each
+    step fills every row's cheapest live cell, the first in row-major order
+    among equal costs, which is where a stable sort of the row's cells would
+    go next. So each row does the float operations of a scalar loop over its
+    sorted cells, in the same order, and its bound does not depend on the
+    other rows in the stack. That lets a long stack run in passes of at most
+    _BLOCK_CELLS block cells, whatever its rows hold, with the same bounds. An
+    empty stack gives an empty array.
     """
-    a, b = _marginals(space, mu, nu2)
-    if not a.any():
-        return 0.0
-    exact = _closed_form(space, a, b)
-    if exact is not None:
-        return exact[0]
-    common = np.minimum(a, b)
-    sa, sb = a - common, b - common
-    I, J = np.flatnonzero(sa > 0), np.flatnonzero(sb > 0)
-    C = space.metric[np.ix_(I, J)]
-    supply, demand, c = sa[I].tolist(), sb[J].tolist(), C.ravel().tolist()
-    rows_left, cols_left, nj = len(I), len(J), len(J)
-    cost = 0.0
-    for k in np.argsort(C, axis=None, kind="stable").tolist():
-        r, s = divmod(k, nj)
-        f = min(supply[r], demand[s])
-        if f <= 0.0:
-            continue
-        cost += f * c[k]
-        supply[r] -= f  # one of the two is now exactly zero
-        demand[s] -= f
-        rows_left -= supply[r] == 0.0
-        cols_left -= demand[s] == 0.0
-        if not (rows_left and cols_left):
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    if A.ndim != 2 or A.shape != B.shape or A.shape[1] != space.n:
+        raise StructuralError(f"expected two (m, {space.n}) stacks, got shapes {A.shape} and {B.shape}")
+    bound = np.zeros(len(A))
+    rows = max(1, _BLOCK_CELLS // max(1, space.n ** 2))
+    for s in range(0, len(A), rows):
+        bound[s:s + rows] = _bound_rows(space, A[s:s + rows], B[s:s + rows])
+    return bound
+
+
+def _bound_rows(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``_w1_upper`` on one pass of rows."""
+    A, B = _balanced(A, B)
+    bound = np.zeros(len(A))
+    massive = A.any(axis=-1)  # a row of zero mass costs 0
+    closed = ((A != 0).sum(axis=-1) == 1) | ((B != 0).sum(axis=-1) == 1)  # a point mass
+    if (massive & ~closed).any() and _tree(space) is not None:
+        closed[:] = True  # every row has the tree closed form
+    for r in np.flatnonzero(massive & closed):
+        bound[r] = _closed_form(space, A[r], B[r])[0]
+    rows = np.flatnonzero(massive & ~closed)
+    supply, demand = A[rows], B[rows]
+    common = np.minimum(supply, demand)
+    supply -= common
+    demand -= common
+    # a row left without supply or without demand (a == b, say) moves nothing
+    keep = (supply > 0).any(axis=-1) & (demand > 0).any(axis=-1)
+    rows, supply, demand = rows[keep], supply[keep], demand[keep]
+    if rows.size:
+        bound[rows] = _greedy_costs(space.metric, supply, demand)
+    return bound
+
+
+def _greedy_costs(metric: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """The cheapest-first greedy coupling cost of each row's residual masses
+    (nonnegative rows, each with a positive supply and demand), in lock step;
+    see ``_w1_upper``."""
+    m = len(supply)
+    packed = []
+    for X in (supply, demand):  # each row's support first, in ascending index order
+        live = X > 0
+        width = int(live.sum(axis=-1).max())
+        at = np.argsort(~live, axis=-1, kind="stable")[:, :width]
+        X = np.take_along_axis(X, at, axis=-1)
+        packed.append((at, X, X > 0))
+    (I, supply, li), (J, demand, lj) = packed
+    C = metric[I[:, :, None], J[:, None, :]]  # a fresh C-ordered (m, |I|, |J|) block
+    C[~li] = np.inf
+    C.swapaxes(1, 2)[~lj] = np.inf
+    flat = C.reshape(m, -1)
+    cost = np.zeros(m)
+    every = np.arange(m)
+    while True:
+        k = flat.argmin(axis=-1)
+        c = flat[every, k]
+        act = np.flatnonzero(c < np.inf)  # the rows with a live cell left
+        if not act.size:
             break
+        k, c = k[act], c[act]
+        i, j = np.divmod(k, J.shape[1])
+        sup, dem = supply[act, i], demand[act, j]
+        f = np.minimum(sup, dem)
+        cost[act] += f * c
+        supply[act, i] = sup - f  # one of the two is now exactly zero
+        demand[act, j] = dem - f
+        out = sup == f
+        C[act[out], i[out]] = np.inf
+        out = dem == f
+        C[act[out], :, j[out]] = np.inf
+    # mass left on both sides could only move through cells of infinite cost
+    cost[(supply > 0).any(axis=-1) & (demand > 0).any(axis=-1)] = np.inf
     return cost
 
 
@@ -362,8 +430,10 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
     0). The search stops once the next bound is below the running maximum by
     more than a relative PRUNE_RTOL; the density that sets the maximum still
     gets its exact W1, so the result is that of solving every density. Each
-    density's W1(f nu, nu) and its bound are memoized per space, so the three
-    kinds share them.
+    density's W1(f nu, nu) and its bound are memoized per space, keyed by the
+    density's bytes, so the three kinds share them; the densities without a
+    bound in the memo are bounded in one stacked ``_w1_upper`` call, one
+    (f nu, nu) row each.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1 (got {trials})")
@@ -412,15 +482,21 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
             return 0.0 if w1 <= 1e-12 else math.inf
         return float(w1 / r)
 
-    rhs, bounds = [], []
+    rhs = []
     for f in densities:
         if kind == "te":
             r = np.sqrt(root2theta / k_ti * max(divergences(space, f).entropy, 0.0))
         else:
             r = root2theta / (k_be or kappa) * np.sqrt(divergences(space, f).fisher)
-        ub = _linalg.memo(space, ("w1_upper_to_nu", f.tobytes()), lambda: _w1_upper(space, f * nu, nu))
         rhs.append(r)
-        bounds.append(ratio(ub, r))
+    keys = [("w1_upper_to_nu", f.tobytes()) for f in densities]
+    by_key = dict(zip(keys, densities))
+
+    def w1_upper(missing):  # one stacked call over the densities not yet bounded
+        F = np.array([by_key[key] for key in missing])
+        return _w1_upper(space, F * nu, np.broadcast_to(nu, F.shape)).tolist()
+
+    bounds = [ratio(ub, r) for ub, r in zip(_linalg.memo_many(space, keys, w1_upper), rhs)]
 
     # largest ratio bound first; a density whose bound falls below the running
     # maximum by more than PRUNE_RTOL cannot set it, nor can any after it

@@ -2,8 +2,10 @@
 
 Everything here is deliberately written the slow, obvious way (plain loops,
 exhaustive enumeration) and shares no code with the library paths it checks.
-The one exception is ``point_forms``, which assembles the library's per-point
-Gamma2 matrix so that the tests can check it against ``gamma2`` directly.
+The exceptions are ``point_forms``, which assembles the library's per-point
+Gamma2 matrix so that the tests can check it against ``gamma2`` directly, and
+``w1_upper_scalar``, which takes the library's closed forms for the pairs
+that have one, so that it checks only the greedy coupling.
 """
 
 import math
@@ -13,6 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from mrws.curvature import _gamma2_matrix
+from mrws.transport import _closed_form
 
 
 def w1_bruteforce(mu, nu, cost):
@@ -48,6 +51,47 @@ def w1_bruteforce(mu, nu, cost):
             val = sum(xi * cost[i, j] for xi, (i, j) in zip(x, support))
             best = min(best, float(val))
     return best
+
+
+def w1_upper_scalar(space, mu, nu):
+    """The greedy W1 upper bound of one marginal pair by a scalar loop: the
+    same checks and exact rebalancing as ``transport._marginals``, the closed
+    form where there is one, else min(a, b) kept in place and the residual's
+    cells filled in the order of a stable sort of their costs, each as far as
+    its row and column allow."""
+    a = np.asarray(mu, dtype=float)
+    b = np.asarray(nu, dtype=float)
+    if np.any(a < 0) or np.any(b < 0):
+        raise ValueError("marginals must be nonnegative")
+    ta, tb = float(a.sum()), float(b.sum())
+    if abs(ta - tb) > 1e-12 * max(1.0, ta, tb) or (ta == 0.0) != (tb == 0.0):
+        raise ValueError(f"mass imbalance: {ta} vs {tb}")
+    if ta == 0.0:
+        return 0.0
+    b = b * (ta / tb)
+    exact = _closed_form(space, a, b)
+    if exact is not None:
+        return exact[0]
+    common = np.minimum(a, b)
+    sa, sb = a - common, b - common
+    I, J = np.flatnonzero(sa > 0), np.flatnonzero(sb > 0)
+    C = space.metric[np.ix_(I, J)]
+    supply, demand, c = sa[I].tolist(), sb[J].tolist(), C.ravel().tolist()
+    rows_left, cols_left, nj = len(I), len(J), len(J)
+    cost = 0.0
+    for k in np.argsort(C, axis=None, kind="stable").tolist():
+        r, s = divmod(k, nj)
+        f = min(supply[r], demand[s])
+        if f <= 0.0:
+            continue
+        cost += f * c[k]
+        supply[r] -= f  # one of the two is now exactly zero
+        demand[s] -= f
+        rows_left -= supply[r] == 0.0
+        cols_left -= demand[s] == 0.0
+        if not (rows_left and cols_left):
+            break
+    return cost
 
 
 def gamma_pointwise(space, f, x):

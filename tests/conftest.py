@@ -79,7 +79,20 @@ def pruning_space(kind, rng):
 
 
 def loose_w1_upper(rng):
-    """A stand-in for ``transport._w1_upper``: the exact W1 times a random
-    factor in [1, 1.5), an upper bound that is loose and ranks the costs out
-    of order. A best-first search must find its extremum with any bound."""
-    return lambda space, a, b: _w1(space, a, b)[0] * (1.0 + 0.5 * rng.random())
+    """A stand-in for ``transport._w1_upper``: for each row of the stacks the
+    exact W1 times a random factor in [1, 1.5), an upper bound that is loose
+    and ranks the costs out of order. A best-first search must find its
+    extremum with any bound. ``rows`` counts the rows it has bounded, so a
+    test can check that the search reached it."""
+    def bound(space, A, B):
+        bound.rows += len(A)
+        return np.array([_w1(space, a, b)[0] * (1.0 + 0.5 * rng.random()) for a, b in zip(A, B)])
+
+    bound.rows = 0
+    return bound
+
+
+def infinite_w1_upper(space, A, B):
+    """A stand-in for ``transport._w1_upper`` that bounds no row: with it a
+    best-first search can skip nothing."""
+    return np.full(len(A), np.inf)

@@ -15,6 +15,7 @@ from mrws import (
     space_to_json,
     validate_space,
 )
+from mrws.core import shortest_path_metric
 from mrws.builders import grid_kernel_neumann, random_reversible_space, two_block, two_block_halves
 
 from conftest import random_spaces
@@ -238,6 +239,36 @@ def test_json_graph_metric_reconstructed(p3):
     obj["metric"] = {"type": "graph_shortest_path"}
     sp = space_from_json(obj)
     np.testing.assert_array_equal(sp.metric, p3.metric)
+
+
+def _dense_route_metric(kernel):
+    """The graph metric by scipy's dense input route, with the same sentinel rule."""
+    from scipy.sparse.csgraph import shortest_path
+
+    n = kernel.shape[0]
+    support = (kernel > 0) | (kernel.T > 0)
+    np.fill_diagonal(support, False)
+    dist = shortest_path(support.astype(float), method="D", directed=False, unweighted=True)
+    finite = np.isfinite(dist)
+    if finite.all():
+        return dist, None
+    off = dist[finite & ~np.eye(n, dtype=bool)]
+    sentinel = n * max(float(off.max()) if off.size else 1.0, 1.0)
+    return np.where(finite, dist, sentinel), sentinel
+
+
+def test_graph_metric_matches_the_dense_route(rng):
+    kernels = [sp.kernel for sp in random_spaces(10, rng, n_lo=1, n_hi=30)]
+    kernels += [sp.kernel for sp in random_spaces(10, rng, n_lo=2, n_hi=30, connected=False)]
+    kernels += [np.eye(4), np.zeros((3, 3)), two_block(0.1).kernel]  # no edge at all; two blocks
+    disconnected = 0
+    for kernel in kernels:
+        dist, sentinel = shortest_path_metric(kernel)
+        expect, expect_sentinel = _dense_route_metric(kernel)
+        np.testing.assert_array_equal(dist, expect)
+        assert sentinel == expect_sentinel
+        disconnected += sentinel is not None
+    assert disconnected >= 3
 
 
 def test_spaces_are_immutable(p3):

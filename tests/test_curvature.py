@@ -348,9 +348,10 @@ def _skipped_pairs(sp, kappa):
     exceeds kappa by more than the pruning margin."""
     memo = _linalg._MEMO[sp]
     skipped = [(i, j) for i, j in _needed_pairs(sp) if ("kappa", i, j) not in memo]
-    for i, j in skipped:
-        lower = 1.0 - _w1_upper(sp, sp.kernel[i], sp.kernel[j]) / sp.metric[i, j]
-        assert lower > kappa + PRUNE_RTOL * max(1.0, abs(kappa))
+    i, j = np.array(skipped, dtype=int).reshape(-1, 2).T
+    lower = 1.0 - _w1_upper(sp, sp.kernel[i], sp.kernel[j]) / sp.metric[i, j]
+    assert lower.shape == (len(skipped),)
+    assert (lower > kappa + PRUNE_RTOL * max(1.0, abs(kappa))).all()
     return skipped
 
 
@@ -366,7 +367,11 @@ def test_kappa_global_on_two_block_solves_one_of_21_pair_lps(two_block, monkeypa
 def test_kappa_global_prunes_the_benchmark_space(monkeypatch):
     sp = random_reversible_space(40, np.random.default_rng(0), density=0.5)
     solves = _count_w1(monkeypatch)
+    stacks = []  # the rows of each bound call
+    monkeypatch.setattr(curvature, "_w1_upper", lambda sp, A, B, real=curvature._w1_upper:
+                        stacks.append(len(A)) or real(sp, A, B))
     kappa = kappa_global(sp)
+    assert stacks == [392]  # one stacked call bounds every needed pair
     assert len(solves) == 13
     assert len(solves) + len(_skipped_pairs(sp, kappa)) == len(_needed_pairs(sp)) == 392
 
@@ -390,11 +395,14 @@ def test_non_geodesic_metric_keeps_all_pairs_in_the_family(two_block, monkeypatc
 def test_pruned_kappa_global_is_the_least_needed_pair_kappa(kind, seed, loose):
     rng = np.random.default_rng(seed)
     sp = pruning_space(kind, rng)
+    bound = loose_w1_upper(rng)
     with pytest.MonkeyPatch.context() as mp:
         if loose:
-            mp.setattr(curvature, "_w1_upper", loose_w1_upper(rng))
+            mp.setattr(curvature, "_w1_upper", bound)
         kappa = kappa_global(sp)  # first, so only the pruned search fills the memo
-    if not loose:
+    if loose:
+        assert bound.rows == len(_needed_pairs(sp))  # the search ranked by the stand-in
+    else:
         _skipped_pairs(sp, kappa)
     exhaustive = min((_pair_kappa(sp, i, j)[0] for i, j in _needed_pairs(sp)), default=math.inf)
     assert kappa.hex() == float(exhaustive).hex()

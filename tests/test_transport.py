@@ -20,7 +20,7 @@ from mrws.builders import grid_kernel_neumann, lazy_cycle, two_block_halves
 from mrws.transport import KINDS, _marginal_constraints, _tree, _w1, _w1_upper
 
 import _oracles
-from conftest import PRUNING_KINDS, loose_w1_upper, pruning_space, random_spaces, random_tree_space
+from conftest import PRUNING_KINDS, infinite_w1_upper, loose_w1_upper, pruning_space, random_spaces, random_tree_space
 
 
 def test_identical_marginals_give_diagonal_plan(p3):
@@ -249,17 +249,18 @@ def test_verifiers_solve_each_w1_once(k3, monkeypatch):
     for mod in (transport, curvature):
         monkeypatch.setattr(mod, "_w1", lambda *a, real=mod._w1: calls.append(1) or real(*a))
     monkeypatch.setattr(transport, "_w1_upper",
-                        lambda *a, real=transport._w1_upper: bounds.append(1) or real(*a))
+                        lambda sp, A, B, real=transport._w1_upper: bounds.append(len(A)) or real(sp, A, B))
     assert verify_transport_inequality(k3, "ti_be", trials=20, rng=0) == fresh["ti_be"]
-    # the 20 draws hold 16 distinct densities; every one is bounded, one is solved
-    # exactly, and the bounds of the other 15 fall below its ratio
-    assert len(bounds) == 16
+    # the 20 draws hold 16 distinct densities; every one is bounded, in one
+    # stacked call, one is solved exactly, and the bounds of the other 15 fall
+    # below its ratio
+    assert bounds == [16]
     assert len(calls) == 1
     # the same seed draws the same densities, so the other two kinds reuse every
     # bound, and the density each needs solved is the one already solved
     assert verify_transport_inequality(k3, "ti_ollivier", trials=20, rng=0) == fresh["ti_ollivier"]
     assert verify_transport_inequality(k3, "te", trials=20, rng=0) == fresh["te"]
-    assert (len(calls), len(bounds)) == (1, 16)
+    assert (len(calls), bounds) == (1, [16])
 
 
 def test_verifier_exposes_failure_on_disconnected_space(two_block):
@@ -408,14 +409,77 @@ def _bound_cases(sp, rng):
     return [(sp.kernel[i], sp.kernel[j]), (f * sp.nu, sp.nu), _random_marginals(rng, sp.n)]
 
 
+def _stacks(cases):
+    return np.array([a for a, _ in cases]), np.array([b for _, b in cases])
+
+
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(PRUNING_KINDS), seed=st.integers(0, 2 ** 32 - 1))
 def test_w1_upper_bounds_the_lp(kind, seed):
     rng = np.random.default_rng(seed)
     sp = pruning_space(kind, rng)
-    for _ in range(3):
-        for a, b in _bound_cases(sp, rng):
-            assert _w1_upper(sp, a, b) >= wasserstein(sp, a, b).cost - 1e-12
+    cases = [case for _ in range(3) for case in _bound_cases(sp, rng)]
+    bounds = _w1_upper(sp, *_stacks(cases))
+    assert bounds.shape == (len(cases),)
+    for ub, (a, b) in zip(bounds, cases):
+        assert ub >= wasserstein(sp, a, b).cost - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(PRUNING_KINDS), seed=st.integers(0, 2 ** 32 - 1),
+       pairs=st.integers(1, 12))
+def test_w1_upper_is_the_scalar_greedy_to_the_bit(kind, seed, pairs):
+    # the lock-step greedy must do each row's float operations in the scalar
+    # loop's order: PRUNE_RTOL covers the greedy's rounding, not a reordering
+    rng = np.random.default_rng(seed)
+    sp = pruning_space(kind, rng)
+    cases = [case for _ in range(pairs) for case in _bound_cases(sp, rng)]
+    cases = [cases[k] for k in rng.permutation(len(cases))]
+    bounds = _w1_upper(sp, *_stacks(cases)).tolist()
+    assert bounds == [_oracles.w1_upper_scalar(sp, a, b) for a, b in cases]
+    # and a row's bound does not depend on the rows stacked with it, so a
+    # stack run in passes of a few rows gives the same bounds
+    assert bounds[:1] == _w1_upper(sp, *_stacks(cases[:1])).tolist()
+    passes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_BLOCK_CELLS", 2 * sp.n ** 2)
+        mp.setattr(transport, "_greedy_costs", lambda metric, supply, demand, real=transport._greedy_costs:
+                   passes.append(len(supply)) or real(metric, supply, demand))
+        assert _w1_upper(sp, *_stacks(cases)).tolist() == bounds
+    assert max(passes, default=0) <= 2
+
+
+def test_w1_upper_through_cells_of_infinite_cost():
+    # an explicit metric with infinite distances: the greedy must still move
+    # the mass that only such a cell can take, like the scalar loop
+    metric = np.array([[0.0, 1.0, np.inf, np.inf],
+                       [1.0, 0.0, np.inf, np.inf],
+                       [np.inf, np.inf, 0.0, 2.0],
+                       [np.inf, np.inf, 2.0, 0.0]])
+    sp = Space(tuple("abcd"), metric, np.full((4, 4), 0.25), np.ones(4))
+    cases = [([0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5]),  # finite cells suffice
+             ([0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.5, 0.5]),  # a crosses to the other block
+             ([0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5])]
+    bounds = _w1_upper(sp, *_stacks(cases)).tolist()
+    assert bounds == [_oracles.w1_upper_scalar(sp, a, b) for a, b in cases] == [1.5, math.inf, math.inf]
+
+
+def test_w1_upper_edge_rows(k3, monkeypatch):
+    monkeypatch.setattr(transport, "linprog", None)  # no row here needs an LP
+    empty = _w1_upper(k3, np.zeros((0, 3)), np.zeros((0, 3)))
+    assert empty.shape == (0,)
+    # zero mass, equal marginals (an empty residual), and the two together in
+    # a stack that needs no greedy step at all
+    zero, same = (np.zeros(3), np.zeros(3)), (k3.kernel[0], k3.kernel[0].copy())
+    assert _w1_upper(k3, *_stacks([zero, same, zero])).tolist() == [0.0, 0.0, 0.0]
+    # two points with the same jump law have an empty residual between them
+    sp = Space(tuple("abc"), k3.metric, np.full((3, 3), 1 / 3), np.ones(3))
+    assert _w1_upper(sp, sp.kernel[[0, 1]], sp.kernel[[2, 2]]).tolist() == [0.0, 0.0]
+    # an a >= b row whose rescaling leaves demand only: nothing to move
+    a = np.array([0.5, 0.25, 0.25])
+    rows = _w1_upper(k3, *_stacks([(a, a * (1 + 1e-15)), (a * (1 + 1e-15), a)]))
+    assert rows.tolist() == [_oracles.w1_upper_scalar(k3, a, a * (1 + 1e-15)),
+                             _oracles.w1_upper_scalar(k3, a * (1 + 1e-15), a)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -430,11 +494,30 @@ def test_w1_upper_is_the_closed_form_where_there_is_one(kind, seed):
         cases = []
     delta = np.zeros(sp.n)
     delta[rng.integers(sp.n)] = 1.0
-    cases += [(delta, sp.kernel[rng.integers(sp.n)]), (sp.nu, delta)]
+    cases += [(delta, sp.kernel[rng.integers(sp.n)]), (sp.nu, delta), (np.zeros(sp.n), np.zeros(sp.n))]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transport, "linprog", None)  # every case here has a closed form
-        for a, b in cases:
-            assert _w1_upper(sp, a, b) == _w1(sp, a, b)[0]
+        mp.setattr(transport, "linprog", None)  # every row here has a closed form
+        bounds = _w1_upper(sp, *_stacks(cases)).tolist()
+        assert bounds == [_w1(sp, a, b)[0] for a, b in cases]
+
+
+def test_w1_upper_checks_each_row(p3):
+    good = (p3.nu, p3.kernel[0])
+    # the first failing row raises, with the message of the single-pair check
+    for bad, message in ((([1.0, 0, 0], [0.5, 0.2, 0.2]), "mass imbalance: 1.0 vs 0.8999"),
+                         (([-0.5, 1.0, 0.5], p3.nu), "nonnegative"),
+                         (([1e-13, 0, 0], np.zeros(3)), "mass imbalance: 1e-13 vs 0.0")):
+        with pytest.raises(ValueError, match=message) as single:
+            _oracles.w1_upper_scalar(p3, *bad)
+        with pytest.raises(ValueError) as stacked:
+            _w1_upper(p3, *_stacks([good, bad, good]))
+        assert str(stacked.value) == str(single.value)
+    with pytest.raises(ValueError, match="nonnegative"):  # row 1 is checked before row 2
+        _w1_upper(p3, *_stacks([good, ([-0.5, 1.0, 0.5], p3.nu), ([1.0, 0, 0], [0.5, 0.2, 0.2])]))
+    with pytest.raises(ValueError, match="stacks"):  # one pair per row, in two stacks of one shape
+        _w1_upper(p3, p3.nu, p3.kernel[0])
+    with pytest.raises(ValueError, match="stacks"):
+        _w1_upper(p3, p3.kernel, p3.kernel[:2])
 
 
 def _outcome(space, kind, trials, seed):
@@ -450,12 +533,15 @@ def _outcome(space, kind, trials, seed):
 @example(kind="k3k3", seed=0, trials=5, loose=False)
 def test_pruned_verifier_maximum_is_the_exhaustive_one(kind, seed, trials, loose):
     sp = pruning_space(kind, np.random.default_rng(seed))
+    bound = loose_w1_upper(np.random.default_rng(seed))
     with pytest.MonkeyPatch.context() as mp:
         if loose:
-            mp.setattr(transport, "_w1_upper", loose_w1_upper(np.random.default_rng(seed)))
+            mp.setattr(transport, "_w1_upper", bound)
         pruned = {k: _outcome(sp, k, trials, seed) for k in KINDS}
+    if loose and any(v == "inf" or v.startswith("0x") for v in pruned.values()):
+        assert bound.rows > 0  # a kind that ran ranked its densities by the stand-in
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transport, "_w1_upper", lambda *a: math.inf)  # no density can be skipped
+        mp.setattr(transport, "_w1_upper", infinite_w1_upper)  # no density can be skipped
         fresh = Space(sp.labels, sp.metric, sp.kernel, sp.measure, sp.metric_sentinel)  # empty memo
         exhaustive = {k: _outcome(fresh, k, trials, seed) for k in KINDS}
     assert pruned == exhaustive
@@ -477,9 +563,11 @@ def test_verifier_maximum_over_near_tied_ratios(k3):
             mp.setattr(transport, "_w1_upper", bound)
             return {k: verify_transport_inequality(sp, k, trials=len(tilts), rng=0) for k in KINDS}
 
-    exhaustive = maxima(lambda *a: math.inf)
+    exhaustive = maxima(infinite_w1_upper)
     for seed in range(5):
-        assert maxima(loose_w1_upper(np.random.default_rng(seed))) == exhaustive
+        bound = loose_w1_upper(np.random.default_rng(seed))
+        assert maxima(bound) == exhaustive
+        assert bound.rows == len(tilts)  # one stacked bound per tilt, shared by the kinds
 
 
 def test_verifier_ranks_a_zero_right_side_first(two_block, monkeypatch):
