@@ -1,6 +1,6 @@
 """One per-Space memo, and the spectral machinery for reversible kernels.
 
-``memo`` keeps what is computed from a Space, which is immutable, for as long
+``_memo`` keeps what is computed from a Space, which is immutable, for as long
 as the space lives; arrays in memoized results are read-only, as callers share
 them. Reversibility makes S = D^{1/2} P D^{-1/2} symmetric (D = diag of the
 normalized measure), so one symmetric eigendecomposition serves the heat
@@ -18,7 +18,7 @@ from .core import Space, _readonly
 _MEMO: "weakref.WeakKeyDictionary[Space, dict]" = weakref.WeakKeyDictionary()
 
 
-def memo(space: Space, key, fn):
+def _memo(space: Space, key, fn):
     """fn() for this space and key, computed at most once while the space
     lives. Check arguments before calling: a hit skips fn entirely."""
     entries = _MEMO.setdefault(space, {})
@@ -27,8 +27,8 @@ def memo(space: Space, key, fn):
     return entries[key]
 
 
-def memo_many(space: Space, keys: list, fn) -> list:
-    """[memo(space, key, ...) for key in keys], with the keys not yet held
+def _memo_many(space: Space, keys: list, fn) -> list:
+    """[_memo(space, key, ...) for key in keys], with the keys not yet held
     computed in one call: fn takes them, distinct and in first-seen order, and
     returns their values in that order."""
     entries = _MEMO.setdefault(space, {})
@@ -52,7 +52,7 @@ def decomposition(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         mu, U = np.linalg.eigh(S)
         return _readonly((1.0 - mu)[::-1]), _readonly(U[:, ::-1]), _readonly(s)
 
-    return memo(space, "decomposition", compute)
+    return _memo(space, "decomposition", compute)
 
 
 def heat_apply(space: Space, values: np.ndarray, t: float) -> np.ndarray:

@@ -6,8 +6,7 @@ inputs give byte-identical reports (timings are opt-in precisely because they
 would break that).
 
 Every input document is read as bytes and decoded as UTF-8, whatever the
-locale; before the one orjson-first reader, only ``analyze`` did, and the
-other subcommands read their files in the locale's text mode.
+locale.
 
 Exit codes: 0 success, 1 structural error, 2 validation failure,
 3 hypothesis failure, 64 usage error.

@@ -59,23 +59,12 @@ def reachability(space: Space, d) -> ReachabilityResult:
     return ReachabilityResult(Subset(space, ~h_mask), Subset(space, h_mask), first_hit)
 
 
-def _strong_components(space: Space):
-    """(count, labels) of the strongly connected components of the support
-    digraph. The graph is handed over with float weights and int32 index
-    arrays built directly: scipy converts anything else on every call, which
-    on a small space costs several times the search itself."""
-    rows, cols = np.nonzero(space.kernel > 0)
-    indptr = np.searchsorted(rows, np.arange(space.n + 1)).astype(np.int32)
-    graph = csr_matrix((np.ones(cols.size), cols.astype(np.int32), indptr),
-                       shape=(space.n, space.n))
-    return connected_components(graph, connection="strong")
-
-
 def is_m_connected(space: Space) -> bool:
     """True when every positive-measure set is reachable from everywhere,
-    i.e. the support digraph is strongly connected."""
-    ncomp, _ = _strong_components(space)
-    return int(ncomp) == 1
+    i.e. the support digraph is strongly connected: exactly one invariant
+    block, and it holds every point."""
+    blocks = invariant_blocks(space).blocks
+    return len(blocks) == 1 and bool(blocks[0].mask.all())
 
 
 @dataclass(frozen=True)
@@ -114,11 +103,17 @@ def invariant_blocks(space: Space) -> BlockDecomposition:
     space alive); the blocks are a tuple of read-only subsets.
     """
     def compute():
-        ncomp, labels = _strong_components(space)
+        # int32 index arrays built directly: scipy converts anything else on
+        # every call, at several times the search's cost on a small space
+        rows, cols = np.nonzero(space.kernel > 0)
+        indptr = np.searchsorted(rows, np.arange(space.n + 1)).astype(np.int32)
+        graph = csr_matrix((np.ones(cols.size), cols.astype(np.int32), indptr),
+                           shape=(space.n, space.n))
+        ncomp, labels = connected_components(graph, connection="strong")
         leaving = ((space.kernel != 0) & (labels[:, None] != labels[None, :])).any(axis=1)
         open_class = np.bincount(labels, weights=leaving, minlength=ncomp) > 0  # mass escapes
         _, first = np.unique(labels, return_index=True)
         return tuple(labels == c for c in np.argsort(first) if not open_class[c])
 
-    masks = _linalg.memo(space, "blocks", compute)
+    masks = _linalg._memo(space, "blocks", compute)
     return BlockDecomposition(tuple(Subset(space, m) for m in masks), len(masks))

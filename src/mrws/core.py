@@ -227,21 +227,23 @@ class ValidationReport:
 
 
 def _triangle_residual(d: np.ndarray, sentinel: float | None) -> float:
-    """max over (i,j,k) of d[i,k] - d[i,j] - d[j,k], skipping sentinel legs."""
-    n = d.shape[0]
-    if sentinel is not None:
-        finite = d < sentinel
-    else:
-        finite = np.ones_like(d, dtype=bool)
-    worst = -np.inf
-    for j in range(n):
-        # d[i,k] <= d[i,j] + d[j,k] for all i,k with every leg finite
-        via = d[:, j][:, None] + d[j, :][None, :]
-        valid = finite & finite[:, j][:, None] & finite[j, :][None, :]
-        if valid.any():
-            gap = np.where(valid, d - via, -np.inf)
-            worst = max(worst, float(gap.max()))
-    return worst if np.isfinite(worst) else 0.0
+    """max over (i,j,k) of d[i,k] - d[i,j] - d[j,k], skipping sentinel legs.
+
+    One min-plus pass: best[i,k] is the least d[i,j] + d[j,k] over j, legs at
+    or above the sentinel read as inf, and rounded subtraction is monotone, so
+    max(d - best) over the pairs below it is the largest gap to the bit. A
+    midpoint with a gap of no value (-inf - -inf) is skipped whole, and a
+    residual that is not finite, NaN included, reads 0.0.
+    """
+    below = d < sentinel if sentinel is not None else np.ones(d.shape, dtype=bool)
+    legs = np.where(below, d, np.inf)
+    i, k = np.nonzero(legs == -np.inf)
+    skip = (legs[i] + legs[:, k].T == -np.inf).any(axis=0)
+    best = np.full(d.shape, np.inf)
+    for j in np.flatnonzero(~skip):
+        np.fmin(best, legs[:, j, None] + legs[j], out=best)
+    worst = (d - best)[below].max(initial=-np.inf)
+    return float(worst) if np.isfinite(worst) else 0.0
 
 
 def validate_space(space: Space) -> ValidationReport:

@@ -14,7 +14,7 @@ import numpy as np
 from . import _linalg
 from .core import ScalarField, Space, _readonly, as_values
 from .heat import heat_evolve
-from .transport import GEODESIC_RTOL, PRUNE_RTOL, _w1, _w1_upper
+from .transport import GEODESIC_RTOL, _best_first, _w1, _w1_upper
 
 __all__ = [
     "gamma",
@@ -126,7 +126,7 @@ def be_best_constant(space: Space, n_param: float) -> BEResult:
             ks[x] = np.linalg.eigvalsh(s[:, None] * S * s).min()
         return BEResult(n_param, float(ks.min(initial=math.inf)), _readonly(ks))
 
-    return _linalg.memo(space, ("be", n_param), compute)
+    return _linalg._memo(space, ("be", n_param), compute)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ def _pair_kappa(space: Space, i: int, j: int) -> tuple[float, float]:
         d = float(space.metric[i, j])
         return 1.0 - w1 / d, gap / d
 
-    return _linalg.memo(space, ("kappa", i, j), compute)
+    return _linalg._memo(space, ("kappa", i, j), compute)
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ def ollivier_global(space: Space, policy: str = "all_pairs") -> OllivierResult:
                               float(min(kappa_pairs.values(), default=math.inf)),
                               float(max((gap for _, gap in pairs.values()), default=0.0)))
 
-    return _linalg.memo(space, ("ollivier", policy), compute)
+    return _linalg._memo(space, ("ollivier", policy), compute)
 
 
 def _needed_pairs(space: Space) -> tuple:
@@ -214,7 +214,7 @@ def _needed_pairs(space: Space) -> tuple:
         i, j = np.nonzero(np.triu(~(split | split.T), k=1))
         return tuple(zip(i.tolist(), j.tolist()))
 
-    return _linalg.memo(space, "needed_pairs", compute)
+    return _linalg._memo(space, "needed_pairs", compute)
 
 
 def kappa_global(space: Space) -> float | None:
@@ -227,12 +227,9 @@ def kappa_global(space: Space) -> float | None:
 
     A best-first search: one stacked ``_w1_upper`` call over the jump laws of
     every needed pair, one pair per row, bounds each pair's curvature from
-    below by 1 - bound / d(i, j), and the pairs are solved exactly in order of
-    that bound. The search stops once the next bound exceeds the least
-    curvature found by more than PRUNE_RTOL max(1, |kappa|); that pair and
-    every pair after it have a larger curvature, certified by its bound. The
-    pair that sets the minimum gets its exact W1, so the value is the one all
-    needed pairs give. Memoized per space.
+    below by 1 - bound / d(i, j), and ``_best_first``, on the negated
+    curvatures (negation is exact), solves the pairs in order of that bound
+    until its stopping rule certifies the minimum. Memoized per space.
     """
     pairs = _needed_pairs(space)
     if len(pairs) > ALL_PAIRS_LIMIT * (ALL_PAIRS_LIMIT - 1) // 2:
@@ -242,15 +239,10 @@ def kappa_global(space: Space) -> float | None:
         i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
         bounds = _w1_upper(space, space.kernel[i], space.kernel[j]).tolist()
         # Python floats, so a zero distance raises as it does in _pair_kappa
-        lower = [1.0 - ub / d for ub, d in zip(bounds, space.metric[i, j].tolist())]
-        best = math.inf
-        for k in sorted(range(len(pairs)), key=lower.__getitem__):
-            if lower[k] > best + PRUNE_RTOL * max(1.0, abs(best)):
-                break
-            best = min(best, _pair_kappa(space, *pairs[k])[0])
-        return float(best)
+        upper = [ub / d - 1.0 for ub, d in zip(bounds, space.metric[i, j].tolist())]
+        return -_best_first(upper, lambda k: -_pair_kappa(space, *pairs[k])[0])
 
-    return _linalg.memo(space, "kappa_global", compute)
+    return _linalg._memo(space, "kappa_global", compute)
 
 
 # ---------------------------------------------------------------------------

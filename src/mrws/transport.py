@@ -13,8 +13,8 @@ edge-weighted sum of the subtree imbalances, certified by a tree potential.
 Every other W1 cost comes from the LP of ``wasserstein``. ``_w1_upper`` bounds
 W1 from above without an LP, for a whole stack of marginal pairs at once (a
 greedy coupling where no closed form applies, run for every row in lock step),
-so that a search for the largest or least of many costs solves only the LPs
-that can set it.
+so that ``_best_first``, the one search for the largest (or least) of many
+costs, solves only the LPs that can set it.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ __all__ = [
 # Relative slack within which two distances count as equal: a jump target lies
 # between two points, or a tree's path metric is the space's metric.
 GEODESIC_RTOL = 1e-12
-# Relative margin by which an LP-free bound must clear the running extremum
-# before a best-first search skips the LP it bounds: it covers the few ulps
-# by which a greedy coupling's float cost can undercut the exact one.
+# Relative margin, on a scale of at least 1, by which an LP-free bound must
+# clear the running extremum before ``_best_first`` skips the LP it bounds.
 PRUNE_RTOL = 1e-9
 # Most cells of the padded cost block in one lock-step pass of ``_w1_upper``
 # (16 MB); a row takes at most n^2 of them, so a pass takes that many rows.
@@ -73,7 +72,7 @@ def wasserstein(space: Space, mu, nu2, p: int = 1) -> TransportPlan:
     1-Lipschitz potential u with dual_v = -u (the flat dual form), and the
     duality gap compares the primal objective with its dual value.
     """
-    a, b = _marginals(space, mu, nu2)
+    (a,), (b,) = _balanced(as_values(space, mu)[None], as_values(space, nu2)[None])
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
     if not a.any():
@@ -81,12 +80,6 @@ def wasserstein(space: Space, mu, nu2, p: int = 1) -> TransportPlan:
         z = np.zeros(n)
         return TransportPlan(np.zeros((n, n)), 0.0, z, z, 0.0, p)
     return _plan(space, a, b, p)
-
-
-def _marginals(space: Space, mu, nu2) -> tuple[np.ndarray, np.ndarray]:
-    """Both marginals as arrays, checked by ``_balanced``."""
-    a, b = _balanced(as_values(space, mu)[None], as_values(space, nu2)[None])
-    return a[0], b[0]
 
 
 def _balanced(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +143,7 @@ def _w1(space: Space, mu, nu2) -> tuple[float, float]:
     of ``wasserstein``, by the cheapest exact route: the closed forms of
     ``_closed_form`` where they apply, the LP of ``wasserstein`` elsewhere.
     """
-    a, b = _marginals(space, mu, nu2)
+    (a,), (b,) = _balanced(as_values(space, mu)[None], as_values(space, nu2)[None])
     if not a.any():
         return 0.0, 0.0
     exact = _closed_form(space, a, b)
@@ -258,6 +251,27 @@ def _greedy_costs(metric: np.ndarray, supply: np.ndarray, demand: np.ndarray) ->
     return cost
 
 
+def _best_first(bounds: list, exact) -> float:
+    """The largest exact(k) over k in range(len(bounds)) (-inf for none),
+    where bounds[k] bounds exact(k) from above.
+
+    exact is called in order of decreasing bound, ties in index order, until
+    the running maximum best is inf or the next bound is below best -
+    PRUNE_RTOL max(1, |best|): that k and every later one have exact(k) <=
+    bounds[k] < best, certified by the bound, and the k that sets the maximum
+    has been called. The margin covers the few ulps by which a greedy
+    coupling's float cost can undercut its exact cost (``_w1_upper``), not an
+    LP's duality gap, so the value equals that of calling exact on every k
+    while the gaps of the LPs behind exact stay below the margin.
+    """
+    best = -math.inf
+    for k in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
+        if best == math.inf or bounds[k] < best - PRUNE_RTOL * max(1.0, abs(best)):
+            break
+        best = max(best, exact(k))
+    return best
+
+
 def _closed_form(space: Space, a: np.ndarray, b: np.ndarray) -> tuple[float, float] | None:
     """(W1 cost, duality gap) between checked marginals of positive mass where
     a closed form applies, else None.
@@ -315,7 +329,7 @@ def _tree(space: Space):
         w[order[1:]] = d[order[1:], parent[order[1:]]]
         return _readonly(below), _readonly(w)
 
-    return _linalg.memo(space, "tree", compute)
+    return _linalg._memo(space, "tree", compute)
 
 
 def _marginal_constraints(ni: int, nj: int) -> coo_matrix:
@@ -424,12 +438,10 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
     the random densities (a block indicator has zero information but positive
     transport cost, so every finite information constant fails on it).
 
-    Only the largest ratio is read, so the densities are taken in order of
-    decreasing ratio bound, ``_w1_upper`` over the right side (infinite for a
-    right side of 0 unless the bound is at most 1e-12, which certifies ratio
-    0). The search stops once the next bound is below the running maximum by
-    more than a relative PRUNE_RTOL; the density that sets the maximum still
-    gets its exact W1, so the result is that of solving every density. Each
+    Only the largest ratio is read, so ``_best_first`` solves the densities in
+    order of decreasing ratio bound, ``_w1_upper`` over the right side
+    (infinite for a right side of 0 unless the bound is at most 1e-12, which
+    certifies ratio 0), until its stopping rule certifies the maximum. Each
     density's W1(f nu, nu) and its bound are memoized per space, keyed by the
     density's bytes, so the three kinds share them; the densities without a
     bound in the memo are bounded in one stacked ``_w1_upper`` call, one
@@ -496,15 +508,11 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
         F = np.array([by_key[key] for key in missing])
         return _w1_upper(space, F * nu, np.broadcast_to(nu, F.shape)).tolist()
 
-    bounds = [ratio(ub, r) for ub, r in zip(_linalg.memo_many(space, keys, w1_upper), rhs)]
+    bounds = [ratio(ub, r) for ub, r in zip(_linalg._memo_many(space, keys, w1_upper), rhs)]
 
-    # largest ratio bound first; a density whose bound falls below the running
-    # maximum by more than PRUNE_RTOL cannot set it, nor can any after it
-    worst = 0.0
-    for k in sorted(range(len(densities)), key=bounds.__getitem__, reverse=True):
-        if worst == math.inf or bounds[k] < worst * (1.0 - PRUNE_RTOL):
-            break
+    def exact(k):
         f = densities[k]
-        lhs = _linalg.memo(space, ("w1_to_nu", f.tobytes()), lambda: _w1(space, f * nu, nu)[0])
-        worst = max(worst, ratio(lhs, rhs[k]))
-    return worst
+        lhs = _linalg._memo(space, ("w1_to_nu", f.tobytes()), lambda: _w1(space, f * nu, nu)[0])
+        return ratio(lhs, rhs[k])
+
+    return max(0.0, _best_first(bounds, exact))

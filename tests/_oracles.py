@@ -55,7 +55,7 @@ def w1_bruteforce(mu, nu, cost):
 
 def w1_upper_scalar(space, mu, nu):
     """The greedy W1 upper bound of one marginal pair by a scalar loop: the
-    same checks and exact rebalancing as ``transport._marginals``, the closed
+    same checks and exact rebalancing as ``transport._balanced``, the closed
     form where there is one, else min(a, b) kept in place and the residual's
     cells filled in the order of a stable sort of their costs, each as far as
     its row and column allow."""
@@ -296,6 +296,26 @@ def cheeger_chunked(space):
         if ratio[k] < best:  # an earlier chunk keeps a tie
             best, best_id = float(ratio[k]), int(ids[k])
     return best, best_id
+
+
+def triangle_residual_loop(d, sentinel):
+    """The library's former triangle residual: one masked pass per midpoint j
+    over the pairs whose three legs all lie below the sentinel. A midpoint
+    whose gaps hold a NaN is dropped whole (Python's max keeps the running
+    value against NaN), and a residual that is not finite reads 0.0."""
+    n = d.shape[0]
+    if sentinel is not None:
+        finite = d < sentinel
+    else:
+        finite = np.ones_like(d, dtype=bool)
+    worst = -np.inf
+    for j in range(n):
+        via = d[:, j][:, None] + d[j, :][None, :]
+        valid = finite & finite[:, j][:, None] & finite[j, :][None, :]
+        if valid.any():
+            gap = np.where(valid, d - via, -np.inf)
+            worst = max(worst, float(gap.max()))
+    return worst if np.isfinite(worst) else 0.0
 
 
 @dataclass(frozen=True)

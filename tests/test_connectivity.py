@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from mrws import (
     Space,
@@ -153,3 +157,22 @@ def test_positive_curvature_implies_connected(k3):
 
     assert ollivier_global(k3).kappa_global > 0
     assert is_m_connected(k3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+       density=st.floats(0.0, 1.0), split=st.integers(0, 8))
+@example(n=1, seed=0, density=0.0, split=0)
+def test_m_connected_is_strong_connectivity(n, seed, density, split):
+    # a directly built kernel: a random support (points that leak into others
+    # are transient), cut into two blocks at `split`, and a self-loop on each
+    # row left empty; only the support matters, so the measure is uniform
+    rng = np.random.default_rng(seed)
+    support = rng.random((n, n)) < density
+    support[:split, split:] = support[split:, :split] = False
+    support |= np.diag(~support.any(axis=1))
+    K = support * rng.uniform(0.5, 1.5, (n, n))
+    K /= K.sum(axis=1, keepdims=True)
+    sp = Space(tuple(range(n)), 1.0 - np.eye(n), K, np.ones(n))
+    strong, _ = connected_components(csr_matrix(K > 0), connection="strong")
+    assert is_m_connected(sp) == (strong == 1)

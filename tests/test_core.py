@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrws import (
     Space,
@@ -15,9 +17,10 @@ from mrws import (
     space_to_json,
     validate_space,
 )
-from mrws.core import shortest_path_metric
+from mrws.core import _triangle_residual, shortest_path_metric
 from mrws.builders import grid_kernel_neumann, random_reversible_space, two_block, two_block_halves
 
+import _oracles
 from conftest import random_spaces
 
 
@@ -277,3 +280,35 @@ def test_spaces_are_immutable(p3):
     sp = random_reversible_space(5, np.random.default_rng(1))
     with pytest.raises(ValueError):
         sp.measure[0] = 2.0
+
+
+_ODD_ENTRIES = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 7), seed=st.integers(0, 2 ** 32 - 1), stretch=st.booleans(),
+       cut=st.integers(0, 3), sentinel=st.sampled_from(["graph", None, 0.5, np.inf, np.nan]),
+       odd=st.lists(st.tuples(st.integers(0, 48), st.sampled_from(_ODD_ENTRIES)), max_size=4))
+@example(n=0, seed=0, stretch=False, cut=0, sentinel=None, odd=[])
+@example(n=1, seed=0, stretch=False, cut=0, sentinel=None, odd=[])
+@example(n=1, seed=0, stretch=False, cut=0, sentinel="graph", odd=[(0, np.nan)])
+@example(n=3, seed=1, stretch=True, cut=3, sentinel="graph",  # a NaN plus an -inf leg is no path
+         odd=[(0, np.nan), (6, -np.inf)])
+def test_triangle_residual_is_the_loop_to_the_bit(n, seed, stretch, cut, sentinel, odd):
+    # a Euclidean metric, stretched entrywise to break triangles, with pairs
+    # cut off at a graph sentinel and entries that are NaN, infinite or huge
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (n, 2))
+    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+    if stretch:
+        d = d * rng.uniform(0.5, 1.5, d.shape)
+    if sentinel == "graph":
+        sentinel = n * max(1.0, float(d.max(initial=0.0)))
+        for _ in range(cut if n else 0):
+            i, k = rng.integers(n, size=2)
+            d[i, k] = d[k, i] = sentinel
+    for at, value in odd:
+        if n:
+            d[divmod(at % (n * n), n)] = value
+    with np.errstate(all="ignore"):
+        assert _triangle_residual(d, sentinel) == _oracles.triangle_residual_loop(d, sentinel)

@@ -17,7 +17,7 @@ from mrws import (
 )
 from mrws import Space, curvature, transport
 from mrws.builders import grid_kernel_neumann, lazy_cycle, two_block_halves
-from mrws.transport import KINDS, _marginal_constraints, _tree, _w1, _w1_upper
+from mrws.transport import KINDS, _best_first, _marginal_constraints, _tree, _w1, _w1_upper
 
 import _oracles
 from conftest import PRUNING_KINDS, infinite_w1_upper, loose_w1_upper, pruning_space, random_spaces, random_tree_space
@@ -415,14 +415,20 @@ def _stacks(cases):
 
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(PRUNING_KINDS), seed=st.integers(0, 2 ** 32 - 1))
+@example(kind="explicit", seed=2298)  # the LP's primal value is 6.2e-9 above the bound, its gap 6.7e-8
+@example(kind="explicit", seed=162517)  # 4.8e-12 above, and a gap of 4.8e-12
 def test_w1_upper_bounds_the_lp(kind, seed):
+    # the bound is the cost of a feasible coupling, so it bounds W1 itself; the
+    # LP's primal value is certified only to within its duality gap, so the
+    # bound is checked against the certified lower end of that interval
     rng = np.random.default_rng(seed)
     sp = pruning_space(kind, rng)
     cases = [case for _ in range(3) for case in _bound_cases(sp, rng)]
     bounds = _w1_upper(sp, *_stacks(cases))
     assert bounds.shape == (len(cases),)
     for ub, (a, b) in zip(bounds, cases):
-        assert ub >= wasserstein(sp, a, b).cost - 1e-12
+        plan = wasserstein(sp, a, b)
+        assert ub >= plan.cost - plan.duality_gap - 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -518,6 +524,37 @@ def test_w1_upper_checks_each_row(p3):
         _w1_upper(p3, p3.nu, p3.kernel[0])
     with pytest.raises(ValueError, match="stacks"):
         _w1_upper(p3, p3.kernel, p3.kernel[:2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.5, -0.5, math.inf]),
+                                 st.floats(-10.0, 10.0)), max_size=12),
+       low=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(values=[], low=False, seed=0)
+def test_best_first_is_the_exhaustive_maximum(values, low, seed):
+    # bounds that reorder the values (each scaled up by a factor in [1, 1.5)),
+    # or that undercut them by a few ulps, as a greedy's float cost can
+    rng = np.random.default_rng(seed)
+    if low:
+        bounds = [float(np.nextafter(v, -math.inf)) for v in values]
+        bounds = [b if rng.random() < 0.5 else float(np.nextafter(b, -math.inf)) for b in bounds]
+    else:
+        bounds = [v + abs(v) * 0.5 * rng.random() for v in values]
+    calls = []
+    best = _best_first(bounds, lambda k: calls.append(k) or values[k])
+    assert best == max(values, default=-math.inf)
+    if values:
+        assert any(values[k] == best for k in calls)  # an argmax was solved
+    # in order of decreasing bound, ties in index order, each at most once
+    assert calls == sorted(set(calls), key=lambda k: (-bounds[k], k))
+
+
+def test_verifier_maximum_of_zero_ratios_is_positive_zero(k3, monkeypatch):
+    # ratios of -0.0, from a W1 of -0.0, still give the maximum +0.0
+    monkeypatch.setattr(transport, "_w1_upper", lambda sp, A, B: np.zeros(len(A)))
+    monkeypatch.setattr(transport, "_w1", lambda *a: (-0.0, 0.0))
+    worst = verify_transport_inequality(k3, "ti_be", trials=5, rng=0)
+    assert worst == 0.0 and math.copysign(1.0, worst) == 1.0
 
 
 def _outcome(space, kind, trials, seed):
