@@ -14,7 +14,7 @@ import numpy as np
 from . import _linalg
 from .core import ScalarField, Space, _readonly, as_values
 from .heat import heat_evolve
-from .transport import GEODESIC_RTOL, _best_first, _w1, _w1_upper
+from .transport import GEODESIC_RTOL, _best_first, _passes, _w1, _w1_upper
 
 __all__ = [
     "gamma",
@@ -140,25 +140,32 @@ def ollivier_kappa(space: Space, x, y) -> float:
     i, j = sorted((space.index(x), space.index(y)))
     if i == j:
         raise ValueError("curvature needs two distinct points")
-    return _pair_kappa(space, i, j)[0]
+    return _pair_kappas(space, [(i, j)])[0][0]
 
 
-def _pair_kappa(space: Space, i: int, j: int) -> tuple[float, float]:
-    """(kappa, its certificate gap) for the pair i < j: the gap is the W1
-    duality gap over d(i, j), a bound on the error of kappa. Memoized."""
-    def compute():
-        w1, gap = _w1(space, space.kernel[i], space.kernel[j])
-        d = float(space.metric[i, j])
-        return 1.0 - w1 / d, gap / d
+def _pair_kappas(space: Space, pairs) -> list:
+    """[(kappa, its certificate gap)] for the pairs (i, j), i < j: the gap is
+    the W1 duality gap over d(i, j), a bound on the error of kappa. Memoized
+    per pair; the pairs not held are solved by one stacked ``_w1`` call per
+    pass of ``_passes``, the passes ``_w1_upper`` runs its greedy in."""
+    def solve(missing):
+        out = []
+        for p in _passes(space, len(missing)):
+            i, j = np.array([key[1:] for key in missing[p]]).T
+            w1, gap = _w1(space, space.kernel[i], space.kernel[j])
+            # Python floats, so a zero distance raises ZeroDivisionError
+            out += [(1.0 - w / d, g / d) for w, g, d in zip(w1.tolist(), gap.tolist(),
+                                                               space.metric[i, j].tolist())]
+        return out
 
-    return _linalg._memo(space, ("kappa", i, j), compute)
+    return _linalg._memo_many(space, [("kappa", i, j) for i, j in pairs], solve)
 
 
 @dataclass(frozen=True)
 class OllivierResult:
     kappa_pairs: MappingProxyType  # read-only, (i, j) with i < j -> kappa
     kappa_global: float
-    kappa_gap: float  # the largest pair certificate gap (``_pair_kappa``)
+    kappa_gap: float  # the largest pair certificate gap (``_pair_kappas``)
 
 
 def ollivier_global(space: Space, policy: str = "all_pairs") -> OllivierResult:
@@ -179,13 +186,12 @@ def ollivier_global(space: Space, policy: str = "all_pairs") -> OllivierResult:
 
     def compute():
         adj = (space.kernel > 0) | (space.kernel.T > 0)
-        pairs = {(i, j): _pair_kappa(space, i, j)
-                 for i in range(n) for j in range(i + 1, n)
-                 if policy == "all_pairs" or adj[i, j]}
-        kappa_pairs = {ij: kappa for ij, (kappa, _) in pairs.items()}
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if policy == "all_pairs" or adj[i, j]]
+        solved = _pair_kappas(space, pairs)
+        kappa_pairs = {ij: kappa for ij, (kappa, _) in zip(pairs, solved)}
         return OllivierResult(MappingProxyType(kappa_pairs),
                               float(min(kappa_pairs.values(), default=math.inf)),
-                              float(max((gap for _, gap in pairs.values()), default=0.0)))
+                              float(max((gap for _, gap in solved), default=0.0)))
 
     return _linalg._memo(space, ("ollivier", policy), compute)
 
@@ -238,9 +244,9 @@ def kappa_global(space: Space) -> float | None:
     def compute():
         i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
         bounds = _w1_upper(space, space.kernel[i], space.kernel[j]).tolist()
-        # Python floats, so a zero distance raises as it does in _pair_kappa
+        # Python floats, so a zero distance raises as it does in _pair_kappas
         upper = [ub / d - 1.0 for ub, d in zip(bounds, space.metric[i, j].tolist())]
-        return -_best_first(upper, lambda k: -_pair_kappa(space, *pairs[k])[0])
+        return -_best_first(upper, lambda k: -_pair_kappas(space, [pairs[k]])[0][0])
 
     return _linalg._memo(space, "kappa_global", compute)
 

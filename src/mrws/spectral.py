@@ -15,7 +15,7 @@ import numpy as np
 from . import _linalg
 from .connectivity import invariant_blocks
 from .core import HypothesisError, Space, as_values
-from .heat import heat_evolve
+from .heat import heat_evolve, heat_trajectory
 
 __all__ = [
     "dirichlet_energy",
@@ -81,11 +81,8 @@ def _fit_decay_rate(space: Space, gap: float) -> float | None:
     if np.sqrt(float(nu @ (f - mean) ** 2)) == 0.0:
         return None
     ts = np.linspace(0.5, 5.0, 10)
-    norms = []
-    for t in ts:
-        u = heat_evolve(space, f, t, method="spectral").values
-        norms.append(np.sqrt(float(nu @ (u - mean) ** 2)))
-    norms = np.array(norms)
+    states = heat_trajectory(space, f, ts, method="spectral").states[1:]  # after time 0
+    norms = np.array([np.sqrt(float(nu @ (u.values - mean) ** 2)) for u in states])
     if np.any(norms <= 0):
         return None
     slope = np.polyfit(ts, np.log(norms), 1)[0]

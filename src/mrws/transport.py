@@ -7,14 +7,15 @@ c-transform so that the reported duality gap is meaningful on its own. For
 ground cost d the source potential is genuinely 1-Lipschitz.
 
 Where only the W1 cost is read (the coarse Ricci curvature and the verifiers),
-``_w1`` takes it without an LP when it has a closed form: the coupling is
-forced when either marginal is a point mass, and on a tree metric W1 is the
-edge-weighted sum of the subtree imbalances, certified by a tree potential.
-Every other W1 cost comes from the LP of ``wasserstein``. ``_w1_upper`` bounds
-W1 from above without an LP, for a whole stack of marginal pairs at once (a
-greedy coupling where no closed form applies, run for every row in lock step),
-so that ``_best_first``, the one search for the largest (or least) of many
-costs, solves only the LPs that can set it.
+it goes through one stacked route, ``_routed``, over (m, n) stacks of marginal
+pairs, one pair per row. A row has a closed form when either marginal is a
+point mass, which forces the coupling, or on a tree metric, where W1 is the
+edge-weighted sum of the subtree imbalances, certified by a tree potential;
+the closed forms run row by row, so a row's bits do not depend on its stack.
+``_w1`` solves each row left by the LP of ``wasserstein``. ``_w1_upper`` bounds
+each row left from above without an LP (a greedy coupling, run for every row
+in lock step), so that ``_best_first``, the one search for the largest (or
+least) of many costs, solves only the LPs that can set it.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ GEODESIC_RTOL = 1e-12
 # Relative margin, on a scale of at least 1, by which an LP-free bound must
 # clear the running extremum before ``_best_first`` skips the LP it bounds.
 PRUNE_RTOL = 1e-9
-# Most cells of the padded cost block in one lock-step pass of ``_w1_upper``
-# (16 MB); a row takes at most n^2 of them, so a pass takes that many rows.
+# Most cells in one pass over a stack of marginal pairs (``_passes``): a row
+# takes at most n^2 cells of the greedy's padded cost block (16 MB in all).
 _BLOCK_CELLS = 1 << 21
 
 
@@ -138,26 +139,40 @@ def _plan(space: Space, a: np.ndarray, b: np.ndarray, p: int) -> TransportPlan:
     return TransportPlan(coupling, wp, u_full, v_full, gap, p)
 
 
-def _w1(space: Space, mu, nu2) -> tuple[float, float]:
-    """(W1 cost, duality gap) between two marginals, with the checks and errors
-    of ``wasserstein``, by the cheapest exact route: the closed forms of
-    ``_closed_form`` where they apply, the LP of ``wasserstein`` elsewhere.
-    """
-    (a,), (b,) = _balanced(as_values(space, mu)[None], as_values(space, nu2)[None])
-    if not a.any():
-        return 0.0, 0.0
-    exact = _closed_form(space, a, b)
-    if exact is not None:
-        return exact
-    plan = _plan(space, a, b, 1)
-    return plan.cost, plan.duality_gap
+def _routed(space: Space, A, B):
+    """(A, B, cost, gap, rows) for stacked marginal pairs, (m, n) arrays with
+    one pair per row, checked by ``_balanced``: each row's W1 cost and gap is
+    0 at zero mass and ``_closed_form``, row by row, where that applies; rows
+    indexes the rows left to a solver. The one place that decides the route."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    if A.ndim != 2 or A.shape != B.shape or A.shape[1] != space.n:
+        raise StructuralError(f"expected two (m, {space.n}) stacks, got shapes {A.shape} and {B.shape}")
+    A, B = _balanced(A, B)
+    cost, gap = np.zeros(len(A)), np.zeros(len(A))
+    massive = A.any(axis=-1)  # a row of zero mass costs 0
+    closed = ((A != 0).sum(axis=-1) == 1) | ((B != 0).sum(axis=-1) == 1)  # a point mass
+    if (massive & ~closed).any() and _tree(space) is not None:
+        closed[:] = True  # every row has the tree closed form
+    for r in np.flatnonzero(massive & closed):
+        cost[r], gap[r] = _closed_form(space, A[r], B[r])
+    return A, B, cost, gap, np.flatnonzero(massive & ~closed)
+
+
+def _w1(space: Space, A, B) -> tuple[np.ndarray, np.ndarray]:
+    """(W1 costs, duality gaps) between stacked marginal pairs, one per row,
+    with the checks and errors of ``wasserstein`` (the first failing row
+    raises): ``_routed``, and the LP of ``wasserstein`` for each row left."""
+    A, B, cost, gap, rows = _routed(space, A, B)
+    for r in rows:
+        plan = _plan(space, A[r], B[r], 1)
+        cost[r], gap[r] = plan.cost, plan.duality_gap
+    return cost, gap
 
 
 def _w1_upper(space: Space, A, B) -> np.ndarray:
-    """Upper bounds on W1 between stacked marginal pairs, (m, n) arrays with
-    one pair per row, one bound per row; the rows get the checks of ``_w1``,
-    and no LP is solved. A row's bound is the exact cost where ``_w1`` has a
-    closed form, else the cost of a greedy coupling.
+    """Upper bounds on W1 between stacked marginal pairs, one per row, with
+    the checks of ``_w1`` and no LP: the exact cost of ``_routed`` where it
+    has one, else the cost of a greedy coupling.
 
     The greedy keeps min(a, b) in place, at cost 0, and fills the cells of
     the residual a - min(a, b) to b - min(a, b) cheapest first, each as far as
@@ -177,37 +192,23 @@ def _w1_upper(space: Space, A, B) -> np.ndarray:
     _BLOCK_CELLS block cells, whatever its rows hold, with the same bounds. An
     empty stack gives an empty array.
     """
-    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    if A.ndim != 2 or A.shape != B.shape or A.shape[1] != space.n:
-        raise StructuralError(f"expected two (m, {space.n}) stacks, got shapes {A.shape} and {B.shape}")
-    bound = np.zeros(len(A))
-    rows = max(1, _BLOCK_CELLS // max(1, space.n ** 2))
-    for s in range(0, len(A), rows):
-        bound[s:s + rows] = _bound_rows(space, A[s:s + rows], B[s:s + rows])
+    A, B, bound, _, rows = _routed(space, A, B)
+    for at in (rows[p] for p in _passes(space, len(rows))):
+        supply, demand = A[at], B[at]
+        common = np.minimum(supply, demand)
+        supply -= common
+        demand -= common
+        # a row left without supply or without demand (a == b, say) moves nothing
+        keep = (supply > 0).any(axis=-1) & (demand > 0).any(axis=-1)
+        if keep.any():
+            bound[at[keep]] = _greedy_costs(space.metric, supply[keep], demand[keep])
     return bound
 
 
-def _bound_rows(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``_w1_upper`` on one pass of rows."""
-    A, B = _balanced(A, B)
-    bound = np.zeros(len(A))
-    massive = A.any(axis=-1)  # a row of zero mass costs 0
-    closed = ((A != 0).sum(axis=-1) == 1) | ((B != 0).sum(axis=-1) == 1)  # a point mass
-    if (massive & ~closed).any() and _tree(space) is not None:
-        closed[:] = True  # every row has the tree closed form
-    for r in np.flatnonzero(massive & closed):
-        bound[r] = _closed_form(space, A[r], B[r])[0]
-    rows = np.flatnonzero(massive & ~closed)
-    supply, demand = A[rows], B[rows]
-    common = np.minimum(supply, demand)
-    supply -= common
-    demand -= common
-    # a row left without supply or without demand (a == b, say) moves nothing
-    keep = (supply > 0).any(axis=-1) & (demand > 0).any(axis=-1)
-    rows, supply, demand = rows[keep], supply[keep], demand[keep]
-    if rows.size:
-        bound[rows] = _greedy_costs(space.metric, supply, demand)
-    return bound
+def _passes(space: Space, rows: int) -> list:
+    """Slices of range(rows), in order, of at most _BLOCK_CELLS // n^2 rows."""
+    step = max(1, _BLOCK_CELLS // max(1, space.n ** 2))
+    return [slice(s, s + step) for s in range(0, rows, step)]
 
 
 def _greedy_costs(metric: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> np.ndarray:
@@ -512,7 +513,8 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
 
     def exact(k):
         f = densities[k]
-        lhs = _linalg._memo(space, ("w1_to_nu", f.tobytes()), lambda: _w1(space, f * nu, nu)[0])
+        lhs = _linalg._memo(space, ("w1_to_nu", f.tobytes()),
+                            lambda: _w1(space, (f * nu)[None], nu[None])[0].item())
         return ratio(lhs, rhs[k])
 
     return max(0.0, _best_first(bounds, exact))

@@ -86,7 +86,7 @@ def loose_w1_upper(rng):
     test can check that the search reached it."""
     def bound(space, A, B):
         bound.rows += len(A)
-        return np.array([_w1(space, a, b)[0] * (1.0 + 0.5 * rng.random()) for a, b in zip(A, B)])
+        return np.array([_w1(space, [a], [b])[0][0] * (1.0 + 0.5 * rng.random()) for a, b in zip(A, B)])
 
     bound.rows = 0
     return bound

@@ -38,7 +38,7 @@ from mrws.builders import (
     random_reversible_space,
     two_block as make_two_block,
 )
-from mrws.curvature import _needed_pairs, _pair_kappa, kappa_global
+from mrws.curvature import _needed_pairs, _pair_kappas, kappa_global
 from mrws.transport import PRUNE_RTOL, _tree, _w1_upper
 
 import _oracles
@@ -264,11 +264,11 @@ def _p3_shortcut():
 def _count_w1(monkeypatch):
     """Records the two marginals of every pair W1 the curvature module asks
     the transport dispatch for (an LP on the non-tree spaces counted here,
-    unless a jump law is a point mass)."""
+    unless a jump law is a point mass), one entry per row of each stack."""
     calls = []
     real = curvature._w1
-    monkeypatch.setattr(curvature, "_w1",
-                        lambda sp, a, b: calls.append((a.tobytes(), b.tobytes())) or real(sp, a, b))
+    monkeypatch.setattr(curvature, "_w1", lambda sp, A, B: calls.extend(
+        (a.tobytes(), b.tobytes()) for a, b in zip(A, B)) or real(sp, A, B))
     return calls
 
 
@@ -404,7 +404,7 @@ def test_pruned_kappa_global_is_the_least_needed_pair_kappa(kind, seed, loose):
         assert bound.rows == len(_needed_pairs(sp))  # the search ranked by the stand-in
     else:
         _skipped_pairs(sp, kappa)
-    exhaustive = min((_pair_kappa(sp, i, j)[0] for i, j in _needed_pairs(sp)), default=math.inf)
+    exhaustive = min((kappa for kappa, _ in _pair_kappas(sp, _needed_pairs(sp))), default=math.inf)
     assert kappa.hex() == float(exhaustive).hex()
 
 
@@ -424,7 +424,12 @@ def test_kappa_global_above_all_pairs_limit(monkeypatch):
 
 def test_each_pair_lp_runs_once(monkeypatch):
     sp = random_reversible_space(8, np.random.default_rng(4), density=0.4)
+    unpatched = ollivier_global(Space(sp.labels, sp.metric, sp.kernel, sp.measure)).kappa_pairs
     solves = _count_w1(monkeypatch)
+    stacks = []  # the rows of each stacked call
+    monkeypatch.setattr(curvature, "_w1", lambda sp, A, B, counted=curvature._w1:
+                        stacks.append(len(A)) or counted(sp, A, B))
+    monkeypatch.setattr(transport, "_BLOCK_CELLS", 3 * sp.n ** 2)  # a pass holds 3 pairs
     kappa = kappa_global(sp)
     assert len(solves) == 7
     assert len(solves) + len(_skipped_pairs(sp, kappa)) == len(_needed_pairs(sp)) == 11
@@ -437,6 +442,9 @@ def test_each_pair_lp_runs_once(monkeypatch):
     lipschitz_contraction_check(sp, samples=2, rng=0)
     assert len(solves) == 28
     assert len(set(solves)) == 28
+    assert max(stacks) == 3  # no stack is longer than a pass, and the kappa are those of one stack
+    assert {ij: k.hex() for ij, k in ollivier_global(sp).kappa_pairs.items()} == \
+        {ij: k.hex() for ij, k in unpatched.items()}
 
 
 def _grid200():
@@ -456,11 +464,15 @@ def test_tree_metrics_are_detected():
 
 def test_grid_edge_curvature_solves_no_lp(monkeypatch):
     grid = _grid200()
-    lps = []
+    lps, stacks = [], []
     monkeypatch.setattr(transport, "linprog", lambda *a, **kw: lps.append(1))
+    monkeypatch.setattr(curvature, "_w1", lambda sp, A, B, real=curvature._w1:
+                        stacks.append(len(A)) or real(sp, A, B))
     res = ollivier_global(grid, "support_edges")
     assert len(res.kappa_pairs) == 594
     assert not lps
+    # in passes of at most _BLOCK_CELLS // n^2 = 52 pairs
+    assert len(stacks) == 12 and max(stacks) <= 52
     assert res.kappa_gap <= 1e-12
     assert kappa_global(grid) == pytest.approx(res.kappa_global, abs=1e-12)
 

@@ -17,7 +17,7 @@ from mrws import (
 )
 from mrws import Space, curvature, transport
 from mrws.builders import grid_kernel_neumann, lazy_cycle, two_block_halves
-from mrws.transport import KINDS, _best_first, _marginal_constraints, _tree, _w1, _w1_upper
+from mrws.transport import KINDS, _best_first, _closed_form, _marginal_constraints, _tree, _w1, _w1_upper
 
 import _oracles
 from conftest import PRUNING_KINDS, infinite_w1_upper, loose_w1_upper, pruning_space, random_spaces, random_tree_space
@@ -354,7 +354,7 @@ def test_tree_closed_form_matches_the_lp(kind, n, seed):
         a, b = _random_marginals(rng, sp.n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transport, "linprog", None)  # the closed form solves no LP
-            cost, gap = _w1(sp, a, b)
+            (cost,), (gap,) = _w1(sp, [a], [b])
         assert cost == pytest.approx(wasserstein(sp, a, b).cost, abs=1e-12)
         assert gap <= 1e-12
 
@@ -367,7 +367,7 @@ def test_tree_potential_is_a_lipschitz_certificate(rng):
         s = (a - b) @ below
         u = below @ (w * np.sign(s))
         assert (np.abs(u[:, None] - u[None, :]) <= sp.metric * (1 + 1e-12)).all()
-        assert float((a - b) @ u) == pytest.approx(_w1(sp, a, b)[0], abs=1e-12)
+        assert float((a - b) @ u) == pytest.approx(_w1(sp, [a], [b])[0][0], abs=1e-12)
 
 
 def test_point_mass_closed_form_matches_the_lp(rng, monkeypatch):
@@ -379,22 +379,49 @@ def test_point_mass_closed_form_matches_the_lp(rng, monkeypatch):
         delta = np.zeros(sp.n)
         delta[x] = 1.0
         for mu, nu2 in ((delta, sp.kernel[(x + 1) % sp.n]), (sp.nu, delta)):
-            cost, gap = _w1(sp, mu, nu2)
+            (cost,), (gap,) = _w1(sp, [mu], [nu2])
             assert gap == 0.0
             assert not lps
             assert cost == pytest.approx(wasserstein(sp, mu, nu2).cost, abs=1e-12)
             lps.clear()
 
 
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(PRUNING_KINDS + ("tree",)), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_w1_rows_are_their_one_row_stacks(kind, seed):
+    # zero rows, point masses both ways, and rows of the tree closed form or
+    # of the LP, shuffled: each row's cost and gap must have the bits of the
+    # row solved alone, and only the rows without a closed form solve an LP
+    rng = np.random.default_rng(seed)
+    if kind == "tree":
+        sp = random_tree_space(int(rng.integers(2, 20)), rng, self_loops=bool(rng.random() < 0.5))
+    else:
+        sp = pruning_space(kind, rng)
+    delta = np.zeros(sp.n)
+    delta[rng.integers(sp.n)] = 1.0
+    cases = [(np.zeros(sp.n), np.zeros(sp.n))] * 2 + [_random_marginals(rng, sp.n) for _ in range(4)]
+    cases += [(delta, sp.kernel[rng.integers(sp.n)]), (sp.nu, delta)]
+    cases = [cases[k] for k in rng.permutation(len(cases))]
+    lps = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "linprog", lambda *a, real=transport.linprog, **kw:
+                   lps.append(1) or real(*a, **kw))
+        cost, gap = _w1(sp, *_stacks(cases))
+    assert len(lps) == sum(a.any() and _closed_form(sp, a, b) is None for a, b in cases)
+    alone = [_w1(sp, [a], [b]) for a, b in cases]
+    assert [c.hex() for c in cost.tolist()] == [c[0].item().hex() for c, _ in alone]
+    assert [g.hex() for g in gap.tolist()] == [g[0].item().hex() for _, g in alone]
+
+
 def test_w1_dispatch_keeps_the_input_checks(p3):
     with pytest.raises(ValueError, match="mass imbalance"):
-        _w1(p3, [1.0, 0, 0], [0.5, 0.2, 0.2])
+        _w1(p3, [[1.0, 0, 0]], [[0.5, 0.2, 0.2]])
     with pytest.raises(ValueError, match="nonnegative"):
-        _w1(p3, [-0.5, 1.0, 0.5], p3.nu)
-    for check in (_w1, wasserstein):  # a positive mass within 1e-12 of zero
+        _w1(p3, [[-0.5, 1.0, 0.5]], [p3.nu])
+    for check in (lambda sp, a, b: _w1(sp, [a], [b]), wasserstein):  # a positive mass within 1e-12 of zero
         with pytest.raises(ValueError, match="mass imbalance"):
             check(p3, [1e-13, 0, 0], np.zeros(3))
-    assert _w1(p3, np.zeros(3), np.zeros(3)) == (0.0, 0.0)
+    assert [x.tolist() for x in _w1(p3, np.zeros((1, 3)), np.zeros((1, 3)))] == [[0.0], [0.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +531,7 @@ def test_w1_upper_is_the_closed_form_where_there_is_one(kind, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "linprog", None)  # every row here has a closed form
         bounds = _w1_upper(sp, *_stacks(cases)).tolist()
-        assert bounds == [_w1(sp, a, b)[0] for a, b in cases]
+        assert bounds == [_w1(sp, [a], [b])[0][0] for a, b in cases]
 
 
 def test_w1_upper_checks_each_row(p3):
@@ -515,15 +542,17 @@ def test_w1_upper_checks_each_row(p3):
                          (([1e-13, 0, 0], np.zeros(3)), "mass imbalance: 1e-13 vs 0.0")):
         with pytest.raises(ValueError, match=message) as single:
             _oracles.w1_upper_scalar(p3, *bad)
-        with pytest.raises(ValueError) as stacked:
-            _w1_upper(p3, *_stacks([good, bad, good]))
-        assert str(stacked.value) == str(single.value)
-    with pytest.raises(ValueError, match="nonnegative"):  # row 1 is checked before row 2
-        _w1_upper(p3, *_stacks([good, ([-0.5, 1.0, 0.5], p3.nu), ([1.0, 0, 0], [0.5, 0.2, 0.2])]))
-    with pytest.raises(ValueError, match="stacks"):  # one pair per row, in two stacks of one shape
-        _w1_upper(p3, p3.nu, p3.kernel[0])
-    with pytest.raises(ValueError, match="stacks"):
-        _w1_upper(p3, p3.kernel, p3.kernel[:2])
+        for stacked_w1 in (_w1_upper, _w1):
+            with pytest.raises(ValueError) as stacked:
+                stacked_w1(p3, *_stacks([good, bad, good]))
+            assert str(stacked.value) == str(single.value)
+    for stacked_w1 in (_w1_upper, _w1):
+        with pytest.raises(ValueError, match="nonnegative"):  # row 1 is checked before row 2
+            stacked_w1(p3, *_stacks([good, ([-0.5, 1.0, 0.5], p3.nu), ([1.0, 0, 0], [0.5, 0.2, 0.2])]))
+        with pytest.raises(ValueError, match="stacks"):  # one pair per row, in two stacks of one shape
+            stacked_w1(p3, p3.nu, p3.kernel[0])
+        with pytest.raises(ValueError, match="stacks"):
+            stacked_w1(p3, p3.kernel, p3.kernel[:2])
 
 
 @settings(max_examples=200, deadline=None)
@@ -552,7 +581,7 @@ def test_best_first_is_the_exhaustive_maximum(values, low, seed):
 def test_verifier_maximum_of_zero_ratios_is_positive_zero(k3, monkeypatch):
     # ratios of -0.0, from a W1 of -0.0, still give the maximum +0.0
     monkeypatch.setattr(transport, "_w1_upper", lambda sp, A, B: np.zeros(len(A)))
-    monkeypatch.setattr(transport, "_w1", lambda *a: (-0.0, 0.0))
+    monkeypatch.setattr(transport, "_w1", lambda sp, A, B: (np.full(len(A), -0.0), np.zeros(len(A))))
     worst = verify_transport_inequality(k3, "ti_be", trials=5, rng=0)
     assert worst == 0.0 and math.copysign(1.0, worst) == 1.0
 
