@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import _linalg
 from .core import ScalarField, Space, Subset, as_mask
@@ -103,6 +101,9 @@ def invariant_blocks(space: Space) -> BlockDecomposition:
     space alive); the blocks are a tuple of read-only subsets.
     """
     def compute():
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
         # int32 index arrays built directly: scipy converts anything else on
         # every call, at several times the search's cost on a small space
         rows, cols = np.nonzero(space.kernel > 0)

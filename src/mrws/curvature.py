@@ -231,9 +231,10 @@ def kappa_global(space: Space) -> float | None:
     ALL_PAIRS_LIMIT points; the support-edge infimum then only bounds the
     value from above.
 
-    A best-first search: one stacked ``_w1_upper`` call over the jump laws of
-    every needed pair, one pair per row, bounds each pair's curvature from
-    below by 1 - bound / d(i, j), and ``_best_first``, on the negated
+    A best-first search: stacked ``_w1_upper`` calls over the jump laws of the
+    needed pairs, one pair per row and one call per pass of ``_passes`` (a
+    row's bound does not depend on its stack), bound each pair's curvature
+    from below by 1 - bound / d(i, j), and ``_best_first``, on the negated
     curvatures (negation is exact), solves the pairs in order of that bound
     until its stopping rule certifies the minimum. Memoized per space.
     """
@@ -242,10 +243,12 @@ def kappa_global(space: Space) -> float | None:
         return None
 
     def compute():
-        i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
-        bounds = _w1_upper(space, space.kernel[i], space.kernel[j]).tolist()
-        # Python floats, so a zero distance raises as it does in _pair_kappas
-        upper = [ub / d - 1.0 for ub, d in zip(bounds, space.metric[i, j].tolist())]
+        upper = []
+        for p in _passes(space, len(pairs)):
+            i, j = np.array(pairs[p], dtype=int).reshape(-1, 2).T
+            bounds = _w1_upper(space, space.kernel[i], space.kernel[j]).tolist()
+            # Python floats, so a zero distance raises as it does in _pair_kappas
+            upper += [ub / d - 1.0 for ub, d in zip(bounds, space.metric[i, j].tolist())]
         return -_best_first(upper, lambda k: -_pair_kappas(space, [pairs[k]])[0][0])
 
     return _linalg._memo(space, "kappa_global", compute)

@@ -5,7 +5,8 @@ exhaustive enumeration) and shares no code with the library paths it checks.
 The exceptions are ``point_forms``, which assembles the library's per-point
 Gamma2 matrix so that the tests can check it against ``gamma2`` directly, and
 ``w1_upper_scalar``, which takes the library's closed forms for the pairs
-that have one, so that it checks only the greedy coupling.
+that have one, so that it checks only the greedy coupling. ``transport_lp``
+is scipy's HiGHS solver, the reference for the library's own simplex.
 """
 
 import math
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from mrws.curvature import _gamma2_matrix
 from mrws.transport import _closed_form
@@ -51,6 +54,25 @@ def w1_bruteforce(mu, nu, cost):
             val = sum(xi * cost[i, j] for xi, (i, j) in zip(x, support))
             best = min(best, float(val))
     return best
+
+
+def marginal_constraints(ni, nj):
+    """Row and column sums of a row-major ni x nj coupling, as one (ni + nj)
+    x ni*nj 0/1 matrix: row r sums entries r*nj .. r*nj + nj-1, row ni + c
+    sums entries c, c + nj, ..., c + (ni-1)*nj."""
+    rows = np.concatenate([np.repeat(np.arange(ni), nj), np.repeat(np.arange(ni, ni + nj), ni)])
+    cols = np.concatenate([np.arange(ni * nj),
+                           np.tile(np.arange(ni) * nj, nj) + np.repeat(np.arange(nj), ni)])
+    return coo_matrix((np.ones(2 * ni * nj), (rows, cols)), shape=(ni + nj, ni * nj))
+
+
+def transport_lp(c, a, b):
+    """The optimal value of the transportation LP min c.x, x >= 0 row-major
+    with row sums a and column sums b, by HiGHS."""
+    res = linprog(c, A_eq=marginal_constraints(len(a), len(b)), b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 def w1_upper_scalar(space, mu, nu):

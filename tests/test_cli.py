@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -335,6 +339,16 @@ def test_analyze_deterministic_bytes(tmp_path, capsys):
     main(["analyze", path, "--trials", "10"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_start_up_imports_no_scipy():
+    # scipy is imported inside the functions that use it, so a command that
+    # needs none of them does not pay for its import
+    code = "import sys, mrws.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_unknown_flag_exits_64(capsys):

@@ -424,13 +424,18 @@ def test_kappa_global_above_all_pairs_limit(monkeypatch):
 
 def test_each_pair_lp_runs_once(monkeypatch):
     sp = random_reversible_space(8, np.random.default_rng(4), density=0.4)
-    unpatched = ollivier_global(Space(sp.labels, sp.metric, sp.kernel, sp.measure)).kappa_pairs
+    fresh = Space(sp.labels, sp.metric, sp.kernel, sp.measure)
+    unpatched, unpatched_kappa = ollivier_global(fresh).kappa_pairs, kappa_global(fresh)
     solves = _count_w1(monkeypatch)
-    stacks = []  # the rows of each stacked call
+    stacks, bounded = [], []  # the rows of each stacked call
     monkeypatch.setattr(curvature, "_w1", lambda sp, A, B, counted=curvature._w1:
                         stacks.append(len(A)) or counted(sp, A, B))
+    monkeypatch.setattr(curvature, "_w1_upper", lambda sp, A, B, real=curvature._w1_upper:
+                        bounded.append(len(A)) or real(sp, A, B))
     monkeypatch.setattr(transport, "_BLOCK_CELLS", 3 * sp.n ** 2)  # a pass holds 3 pairs
     kappa = kappa_global(sp)
+    assert bounded == [3, 3, 3, 2]  # the needed pairs are bounded pass by pass
+    assert kappa.hex() == unpatched_kappa.hex()
     assert len(solves) == 7
     assert len(solves) + len(_skipped_pairs(sp, kappa)) == len(_needed_pairs(sp)) == 11
     edges = ollivier_global(sp, "support_edges").kappa_pairs

@@ -17,7 +17,7 @@ from mrws import (
 )
 from mrws import Space, curvature, transport
 from mrws.builders import grid_kernel_neumann, lazy_cycle, two_block_halves
-from mrws.transport import KINDS, _best_first, _closed_form, _marginal_constraints, _tree, _w1, _w1_upper
+from mrws.transport import KINDS, _best_first, _closed_form, _tree, _w1, _w1_upper
 
 import _oracles
 from conftest import PRUNING_KINDS, infinite_w1_upper, loose_w1_upper, pruning_space, random_spaces, random_tree_space
@@ -310,7 +310,7 @@ def test_marginal_constraints_match_loop_construction():
         for c in range(nj):
             rows.extend([ni + c] * ni)
             cols.extend(range(c, ni * nj, nj))
-        A = _marginal_constraints(ni, nj)
+        A = _oracles.marginal_constraints(ni, nj)
         assert A.shape == (ni + nj, ni * nj)
         np.testing.assert_array_equal(A.row, rows)
         np.testing.assert_array_equal(A.col, cols)
@@ -442,12 +442,13 @@ def _stacks(cases):
 
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(PRUNING_KINDS), seed=st.integers(0, 2 ** 32 - 1))
-@example(kind="explicit", seed=2298)  # the LP's primal value is 6.2e-9 above the bound, its gap 6.7e-8
-@example(kind="explicit", seed=162517)  # 4.8e-12 above, and a gap of 4.8e-12
+@example(kind="explicit", seed=2298)  # HiGHS left gaps up to 6.7e-8 here, and a cost 6.2e-9 above its bound
+@example(kind="explicit", seed=162517)  # HiGHS: a gap of 8e-11, and a cost 4.8e-12 above its bound
 def test_w1_upper_bounds_the_lp(kind, seed):
     # the bound is the cost of a feasible coupling, so it bounds W1 itself; the
-    # LP's primal value is certified only to within its duality gap, so the
-    # bound is checked against the certified lower end of that interval
+    # LP's cost is certified to within its duality gap, which must stay far
+    # below the best-first margin PRUNE_RTOL, so that the bound, checked
+    # against the certified lower end of that interval, clears the cost too
     rng = np.random.default_rng(seed)
     sp = pruning_space(kind, rng)
     cases = [case for _ in range(3) for case in _bound_cases(sp, rng)]
@@ -456,6 +457,8 @@ def test_w1_upper_bounds_the_lp(kind, seed):
     for ub, (a, b) in zip(bounds, cases):
         plan = wasserstein(sp, a, b)
         assert ub >= plan.cost - plan.duality_gap - 1e-12
+        assert plan.duality_gap <= 1e-12 * max(1.0, plan.cost)
+        assert ub >= plan.cost - 1e-12 * max(1.0, plan.cost)
 
 
 @settings(max_examples=60, deadline=None)
