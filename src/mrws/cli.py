@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 structural error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -337,6 +338,7 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built on the first main call, then reused
 def _build_parser() -> _Parser:
     p = _Parser(prog="mrws", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)

@@ -8,6 +8,7 @@ kernel; ``validate_space`` checks exactly that, with per-axiom residuals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -105,10 +106,11 @@ class Space:
     def total_mass(self) -> float:
         return float(self.measure.sum())
 
-    @property
+    @functools.cached_property
     def nu(self) -> np.ndarray:
-        """Stationary measure, normalized to a probability vector."""
-        return self.measure / self.measure.sum()
+        """Stationary measure, normalized to a probability vector; read-only,
+        computed once per space."""
+        return _readonly(self.measure / self.measure.sum())
 
     def index(self, point) -> int:
         """Resolve a label or integer index to an index."""
@@ -231,19 +233,20 @@ def _triangle_residual(d: np.ndarray, sentinel: float | None) -> float:
 
     One min-plus pass: best[i,k] is the least d[i,j] + d[j,k] over j, legs at
     or above the sentinel read as inf, and rounded subtraction is monotone, so
-    max(d - best) over the pairs below it is the largest gap to the bit. A
-    midpoint with a gap of no value (-inf - -inf) is skipped whole, and a
-    residual that is not finite, NaN included, reads 0.0.
+    max(d - best) over the pairs below it is the largest gap to the bit. A NaN
+    is not at or above the sentinel, so it is checked; a distance below the
+    sentinel that is not finite, and a residual that is not finite (none
+    checked, or an overflow), read inf.
     """
-    below = d < sentinel if sentinel is not None else np.ones(d.shape, dtype=bool)
+    below = ~(d >= sentinel) if sentinel is not None else np.ones(d.shape, dtype=bool)
+    if not np.isfinite(d[below]).all():
+        return np.inf
     legs = np.where(below, d, np.inf)
-    i, k = np.nonzero(legs == -np.inf)
-    skip = (legs[i] + legs[:, k].T == -np.inf).any(axis=0)
     best = np.full(d.shape, np.inf)
-    for j in np.flatnonzero(~skip):
+    for j in range(len(d)):
         np.fmin(best, legs[:, j, None] + legs[j], out=best)
     worst = (d - best)[below].max(initial=-np.inf)
-    return float(worst) if np.isfinite(worst) else 0.0
+    return float(worst) if np.isfinite(worst) else np.inf
 
 
 def validate_space(space: Space) -> ValidationReport:
@@ -258,27 +261,31 @@ def validate_space(space: Space) -> ValidationReport:
     total = total if np.isfinite(total) else 1.0  # unscaled tolerances for a non-finite mass
     checks = []
 
-    row_res = float(np.abs(P.sum(axis=1) - 1.0).max())
-    checks.append(AxiomCheck("row_stochastic", row_res, TOL_STOCHASTIC, row_res <= TOL_STOCHASTIC))
+    def check(axiom, residual, tolerance, ok, detail=""):
+        bad = not np.isfinite(residual)  # a NaN or infinite residual reads inf, a violation
+        residual = np.inf if bad else float(residual)
+        checks.append(AxiomCheck(axiom, residual, tolerance, ok and not bad, detail))
 
-    neg = float(max(0.0, -P.min()))
-    checks.append(AxiomCheck("kernel_nonnegative", neg, 0.0, neg == 0.0))
+    row_res = float(np.abs(P.sum(axis=1) - 1.0).max())
+    check("row_stochastic", row_res, TOL_STOCHASTIC, row_res <= TOL_STOCHASTIC)
+
+    neg = 0.0 - min(float(P.min()), 0.0)  # NaN for a NaN entry
+    check("kernel_nonnegative", neg, 0.0, neg == 0.0)
 
     scale = max(1.0, float(d.max()) if d.size else 1.0)
     diag = float(np.abs(np.diag(d)).max()) if space.n else 0.0
-    checks.append(AxiomCheck("metric_zero_diagonal", diag, TOL_METRIC * scale, diag <= TOL_METRIC * scale))
+    check("metric_zero_diagonal", diag, TOL_METRIC * scale, diag <= TOL_METRIC * scale)
 
     sym = float(np.abs(d - d.T).max())
-    checks.append(AxiomCheck("metric_symmetric", sym, TOL_METRIC * scale, sym <= TOL_METRIC * scale))
+    check("metric_symmetric", sym, TOL_METRIC * scale, sym <= TOL_METRIC * scale)
 
     off = d[~np.eye(space.n, dtype=bool)]
     pos = float(off.min()) if off.size else np.inf
-    checks.append(AxiomCheck("metric_positive_offdiag", max(0.0, -pos) if pos <= 0 else 0.0,
-                             0.0, pos > 0 or not off.size,
-                             detail="min off-diagonal distance %.3g" % (pos if off.size else np.inf)))
+    check("metric_positive_offdiag", max(0.0, -pos) if pos <= 0 else 0.0, 0.0, pos > 0 or not off.size,
+          detail="min off-diagonal distance %.3g" % (pos if off.size else np.inf))
 
     tri = _triangle_residual(d, space.metric_sentinel)
-    checks.append(AxiomCheck("metric_triangle", tri, TOL_TRIANGLE, tri <= TOL_TRIANGLE))
+    check("metric_triangle", tri, TOL_TRIANGLE, tri <= TOL_TRIANGLE)
 
     finite = bool(np.isfinite(nu).all())
     if finite:
@@ -287,14 +294,12 @@ def validate_space(space: Space) -> ValidationReport:
         rev = float(np.abs(Q - Q.T).max())
     else:  # inf * 0 in the products has no value
         inv = rev = np.inf
-    checks.append(AxiomCheck("invariance", inv, TOL_INVARIANCE * total,
-                             finite and inv <= TOL_INVARIANCE * total))
-    checks.append(AxiomCheck("reversibility", rev, TOL_REVERSIBILITY * total,
-                             finite and rev <= TOL_REVERSIBILITY * total))
+    check("invariance", inv, TOL_INVARIANCE * total, inv <= TOL_INVARIANCE * total)
+    check("reversibility", rev, TOL_REVERSIBILITY * total, rev <= TOL_REVERSIBILITY * total)
 
     numin = float(nu.min()) if space.n else 1.0
-    checks.append(AxiomCheck("measure_positive", max(0.0, -numin) if finite else np.inf, 0.0,
-                             finite and numin > 0, detail="min measure %.3g" % numin))
+    check("measure_positive", max(0.0, -numin) if finite else np.inf, 0.0,
+          finite and numin > 0, detail="min measure %.3g" % numin)
 
     return ValidationReport(checks)
 

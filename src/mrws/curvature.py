@@ -100,7 +100,8 @@ def be_best_constant(space: Space, n_param: float) -> BEResult:
 
     K(x) = +inf at a point with no neighbour, where Gamma(f)(x) = 0 for every
     f. The reduction needs a nonnegative kernel; a negative entry raises
-    ValueError. Memoized per space and float(n_param).
+    ValueError. Memoized per space and float(n_param), with P^2 memoized once
+    per space for every n_param.
     """
     if not n_param > 1:
         raise ValueError("dimension parameter must satisfy n > 1 (inf allowed)")
@@ -110,7 +111,7 @@ def be_best_constant(space: Space, n_param: float) -> BEResult:
 
     def compute():
         P = space.kernel
-        P2 = P @ P
+        P2 = _linalg._memo(space, "kernel_square", lambda: _readonly(P @ P))
         n = space.n
         ks = np.full(n, math.inf)
         for x in range(n):
@@ -163,6 +164,15 @@ def _pair_kappas(space: Space, pairs) -> list:
 
 @dataclass(frozen=True)
 class OllivierResult:
+    """Every pair curvature of a pair family, with its infimum and worst gap.
+
+    ``kappa_global`` is the infimum over the policy's family, kept on purpose
+    next to ``curvature.kappa_global``: over all pairs it is the exhaustive
+    value the tests check the best-first search against, and over the
+    support edges it is what ``curvature --ollivier edges`` prints as
+    ``kappa_global`` and ``analyze`` prints as ``kappa_upper_bound``.
+    """
+
     kappa_pairs: MappingProxyType  # read-only, (i, j) with i < j -> kappa
     kappa_global: float
     kappa_gap: float  # the largest pair certificate gap (``_pair_kappas``)

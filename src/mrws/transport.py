@@ -17,7 +17,9 @@ the closed forms run row by row, so a row's bits do not depend on its stack.
 ``_w1`` solves each row left by the LP of ``wasserstein``. ``_w1_upper`` bounds
 each row left from above without an LP (a greedy coupling, run for every row
 in lock step), so that ``_best_first``, the one search for the largest (or
-least) of many costs, solves only the LPs that can set it.
+least) of many costs, solves only the LPs that can set it. The verifiers keep
+one record per density and space, its W1 bound to the measure and its
+``divergences``, which the three inequalities share.
 """
 
 from __future__ import annotations
@@ -101,10 +103,6 @@ def _balanced(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _plan(space: Space, a: np.ndarray, b: np.ndarray, p: int) -> TransportPlan:
     """The optimal plan between checked marginals of positive mass, by LP."""
-    n = space.n
-    if np.array_equal(a, b):
-        return TransportPlan(np.diag(a), 0.0, np.zeros(n), np.zeros(n), 0.0, p)
-
     cost_matrix = space.metric if p == 1 else space.metric ** 2
     I = np.flatnonzero(a > 0)
     J = np.flatnonzero(b > 0)
@@ -122,7 +120,7 @@ def _plan(space: Space, a: np.ndarray, b: np.ndarray, p: int) -> TransportPlan:
         dual_value = float(a @ u_full + b @ v_full)
     gap = abs(objective - dual_value)
 
-    coupling = np.zeros((n, n))
+    coupling = np.zeros((space.n, space.n))
     coupling[np.ix_(I, J)] = x.reshape(len(I), len(J))
     wp = objective if p == 1 else float(np.sqrt(max(objective, 0.0)))
     return TransportPlan(coupling, wp, u_full, v_full, gap, p)
@@ -427,10 +425,12 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
     order of decreasing ratio bound, ``_w1_upper`` over the right side
     (infinite for a right side of 0 unless the bound is at most 1e-12, which
     certifies ratio 0), until its stopping rule certifies the maximum. Each
-    density's W1(f nu, nu) and its bound are memoized per space, keyed by the
-    density's bytes, so the three kinds share them; the densities without a
-    bound in the memo are bounded in one stacked ``_w1_upper`` call, one
-    (f nu, nu) row each.
+    density has one record per space, keyed by its bytes and shared by the
+    three kinds: its W1(f nu, nu) bound and its ``divergences``, made for all
+    densities not yet seen by one stacked ``_w1_upper`` call, one (f nu, nu)
+    row each. A kind only maps the records to right sides and ratio bounds.
+    The exact W1(f nu, nu) of a density the search solves is memoized under
+    the same bytes.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1 (got {trials})")
@@ -479,25 +479,23 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
             return 0.0 if w1 <= 1e-12 else math.inf
         return float(w1 / r)
 
-    rhs = []
-    for f in densities:
-        if kind == "te":
-            r = np.sqrt(root2theta / k_ti * max(divergences(space, f).entropy, 0.0))
-        else:
-            r = root2theta / (k_be or kappa) * np.sqrt(divergences(space, f).fisher)
-        rhs.append(r)
-    keys = [("w1_upper_to_nu", f.tobytes()) for f in densities]
+    keys = [("density", f.tobytes()) for f in densities]
     by_key = dict(zip(keys, densities))
 
-    def w1_upper(missing):  # one stacked call over the densities not yet bounded
+    def records(missing):  # one stacked bound over the densities not yet seen
+        divs = [divergences(space, by_key[key]) for key in missing]
         F = np.array([by_key[key] for key in missing])
-        return _w1_upper(space, F * nu, np.broadcast_to(nu, F.shape)).tolist()
+        return list(zip(_w1_upper(space, F * nu, np.broadcast_to(nu, F.shape)).tolist(), divs))
 
-    bounds = [ratio(ub, r) for ub, r in zip(_linalg._memo_many(space, keys, w1_upper), rhs)]
+    rhs, bounds = [], []
+    for ub, div in _linalg._memo_many(space, keys, records):
+        rhs.append(np.sqrt(root2theta / k_ti * max(div.entropy, 0.0)) if kind == "te"
+                   else root2theta / (k_be or kappa) * np.sqrt(div.fisher))
+        bounds.append(ratio(ub, rhs[-1]))
 
     def exact(k):
         f = densities[k]
-        lhs = _linalg._memo(space, ("w1_to_nu", f.tobytes()),
+        lhs = _linalg._memo(space, ("w1_to_nu", keys[k][1]),
                             lambda: _w1(space, (f * nu)[None], nu[None])[0].item())
         return ratio(lhs, rhs[k])
 

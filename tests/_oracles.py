@@ -321,15 +321,18 @@ def cheeger_chunked(space):
 
 
 def triangle_residual_loop(d, sentinel):
-    """The library's former triangle residual: one masked pass per midpoint j
-    over the pairs whose three legs all lie below the sentinel. A midpoint
-    whose gaps hold a NaN is dropped whole (Python's max keeps the running
-    value against NaN), and a residual that is not finite reads 0.0."""
+    """The library's former triangle residual loop, under the current rule for
+    non-finite values: one masked pass per midpoint j over the pairs whose
+    three legs all lie below the sentinel, where a NaN counts as below. A
+    distance below the sentinel that is not finite, and a residual that is not
+    finite (no pair below, or an overflow), read inf."""
     n = d.shape[0]
     if sentinel is not None:
-        finite = d < sentinel
+        finite = ~(d >= sentinel)
     else:
         finite = np.ones_like(d, dtype=bool)
+    if not np.isfinite(d[finite]).all():
+        return np.inf
     worst = -np.inf
     for j in range(n):
         via = d[:, j][:, None] + d[j, :][None, :]
@@ -337,7 +340,7 @@ def triangle_residual_loop(d, sentinel):
         if valid.any():
             gap = np.where(valid, d - via, -np.inf)
             worst = max(worst, float(gap.max()))
-    return worst if np.isfinite(worst) else 0.0
+    return worst if np.isfinite(worst) else np.inf
 
 
 @dataclass(frozen=True)

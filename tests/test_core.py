@@ -83,6 +83,26 @@ def test_metric_axiom_violations_are_reported(p3):
     assert "metric_triangle" in {c.axiom for c in report.violations}
 
 
+def test_non_finite_residuals_are_violations(p3):
+    # an infinite distance with no sentinel, and a NaN kernel entry: each
+    # residual of no finite value reads inf and fails its axiom
+    d = p3.metric.copy()
+    d[0, 2] = d[2, 0] = np.inf
+    P = p3.kernel.copy()
+    P[1, 2] = np.nan
+    for sp, axiom in ((Space(p3.labels, d, p3.kernel, p3.measure), "metric_triangle"),
+                      (Space(p3.labels, p3.metric, P, p3.measure), "kernel_nonnegative")):
+        with np.errstate(invalid="ignore"):
+            report = validate_space(sp)
+        assert report.residual(axiom) == np.inf
+        assert axiom in {c.axiom for c in report.violations}
+        assert not any(np.isnan(c.residual) for c in report.checks)
+    # at a sentinel of inf the infinite pair is unreachable, not a violation
+    with np.errstate(invalid="ignore"):
+        report = validate_space(Space(p3.labels, d, p3.kernel, p3.measure, metric_sentinel=np.inf))
+    assert report.residual("metric_triangle") == 0.0
+
+
 # ---------------------------------------------------------------------------
 # convolve_kernel
 
@@ -280,6 +300,15 @@ def test_spaces_are_immutable(p3):
     sp = random_reversible_space(5, np.random.default_rng(1))
     with pytest.raises(ValueError):
         sp.measure[0] = 2.0
+    # the normalized measure is computed once, read-only and never replaced
+    nu = sp.nu
+    assert sp.nu is nu
+    np.testing.assert_array_equal(nu, sp.measure / sp.measure.sum())
+    with pytest.raises(ValueError):
+        nu[0] = 1.0
+    with pytest.raises(AttributeError):  # a frozen space
+        sp.nu = nu.copy()
+    assert sp.nu is nu
 
 
 _ODD_ENTRIES = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308)
@@ -292,7 +321,7 @@ _ODD_ENTRIES = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308)
 @example(n=0, seed=0, stretch=False, cut=0, sentinel=None, odd=[])
 @example(n=1, seed=0, stretch=False, cut=0, sentinel=None, odd=[])
 @example(n=1, seed=0, stretch=False, cut=0, sentinel="graph", odd=[(0, np.nan)])
-@example(n=3, seed=1, stretch=True, cut=3, sentinel="graph",  # a NaN plus an -inf leg is no path
+@example(n=3, seed=1, stretch=True, cut=3, sentinel="graph",  # a NaN and an -inf leg: inf
          odd=[(0, np.nan), (6, -np.inf)])
 def test_triangle_residual_is_the_loop_to_the_bit(n, seed, stretch, cut, sentinel, odd):
     # a Euclidean metric, stretched entrywise to break triangles, with pairs

@@ -555,11 +555,12 @@ def test_memo_entry_dies_with_its_space():
     be_best_constant(sp, 2.0)
     ollivier_global(sp)
     spectral_gap(sp)
-    assert len(_linalg._MEMO[sp]) == 20  # one entry per result, all on this space: BE, the
-    # decomposition, the invariant blocks, the all-pairs curvature, its 15 pair
-    # curvatures and the tree test of the transport dispatch
+    assert len(_linalg._MEMO[sp]) == 21  # one entry per result, all on this space: BE and
+    # the kernel square it reads, the decomposition, the invariant blocks, the
+    # all-pairs curvature, its 15 pair curvatures and the tree test of the
+    # transport dispatch
     kappa_global(sp)
-    assert len(_linalg._MEMO[sp]) == 22  # the needed pairs and the global curvature; its
+    assert len(_linalg._MEMO[sp]) == 23  # the needed pairs and the global curvature; its
     # pair curvatures are the all-pairs ones, and the bounds are not kept
     ref = weakref.ref(sp)
     gc.collect()

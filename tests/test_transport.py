@@ -16,19 +16,32 @@ from mrws import (
     wasserstein,
 )
 from mrws import Space, curvature, transport
-from mrws.builders import grid_kernel_neumann, lazy_cycle, two_block_halves
+from mrws.builders import grid_kernel_neumann, lazy_cycle, random_reversible_space, two_block_halves
 from mrws.transport import KINDS, _best_first, _closed_form, _tree, _w1, _w1_upper
 
 import _oracles
 from conftest import PRUNING_KINDS, infinite_w1_upper, loose_w1_upper, pruning_space, random_spaces, random_tree_space
 
 
-def test_identical_marginals_give_diagonal_plan(p3):
-    nu = p3.nu
-    plan = wasserstein(p3, nu, nu)
-    assert plan.cost == 0.0
-    np.testing.assert_array_equal(plan.coupling, np.diag(nu))
-    assert plan.duality_gap == 0.0
+def test_identical_marginals_give_diagonal_plan(p3, rng, monkeypatch):
+    # no shortcut: the greedy start fills the zero-cost diagonal first, so the
+    # one LP ends on the diagonal coupling with cost and gap exactly 0
+    lps = []
+    monkeypatch.setattr(transport, "linprog", lambda *a, real=transport.linprog: lps.append(1) or real(*a))
+    cases = [(p3, p3.nu)]
+    for _ in range(20):
+        sp = random_reversible_space(int(rng.integers(3, 41)), rng, density=float(rng.uniform(0.2, 0.9)))
+        a = rng.random(sp.n) * (rng.random(sp.n) < rng.uniform(0.2, 1.0))
+        a[rng.integers(sp.n)] += 0.5  # positive mass
+        cases.append((sp, a))
+    for sp, a in cases:
+        for p in (1, 2):
+            lps.clear()
+            plan = wasserstein(sp, a, a, p=p)
+            assert plan.cost == 0.0
+            np.testing.assert_array_equal(plan.coupling, np.diag(a))
+            assert plan.duality_gap == 0.0
+            assert len(lps) == 1
 
 
 def test_p3_dirac_to_stationary(p3):
@@ -245,11 +258,13 @@ def test_verifiers_solve_each_w1_once(k3, monkeypatch):
                                                kind, trials=20, rng=0)
              for kind in ("ti_be", "ti_ollivier", "te")}
     curvature.kappa_global(k3)  # the pair W1 of ti_ollivier, outside the count
-    calls, bounds = [], []
+    calls, bounds, divs = [], [], []
     for mod in (transport, curvature):
         monkeypatch.setattr(mod, "_w1", lambda *a, real=mod._w1: calls.append(1) or real(*a))
     monkeypatch.setattr(transport, "_w1_upper",
                         lambda sp, A, B, real=transport._w1_upper: bounds.append(len(A)) or real(sp, A, B))
+    monkeypatch.setattr(transport, "divergences",
+                        lambda *a, real=transport.divergences: divs.append(1) or real(*a))
     assert verify_transport_inequality(k3, "ti_be", trials=20, rng=0) == fresh["ti_be"]
     # the 20 draws hold 16 distinct densities; every one is bounded, in one
     # stacked call, one is solved exactly, and the bounds of the other 15 fall
@@ -261,6 +276,8 @@ def test_verifiers_solve_each_w1_once(k3, monkeypatch):
     assert verify_transport_inequality(k3, "ti_ollivier", trials=20, rng=0) == fresh["ti_ollivier"]
     assert verify_transport_inequality(k3, "te", trials=20, rng=0) == fresh["te"]
     assert (len(calls), bounds) == (1, [16])
+    # each density's divergences are kept in its record with its bound
+    assert len(divs) == 16
 
 
 def test_verifier_exposes_failure_on_disconnected_space(two_block):
