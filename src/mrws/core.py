@@ -272,7 +272,8 @@ def validate_space(space: Space) -> ValidationReport:
     neg = 0.0 - min(float(P.min()), 0.0)  # NaN for a NaN entry
     check("kernel_nonnegative", neg, 0.0, neg == 0.0)
 
-    scale = max(1.0, float(d.max()) if d.size else 1.0)
+    cap = np.inf if space.metric_sentinel is None else space.metric_sentinel
+    scale = float(d[np.isfinite(d) & (d < cap)].max(initial=1.0))  # max(1, finite distances below the sentinel)
     diag = float(np.abs(np.diag(d)).max()) if space.n else 0.0
     check("metric_zero_diagonal", diag, TOL_METRIC * scale, diag <= TOL_METRIC * scale)
 
@@ -281,7 +282,7 @@ def validate_space(space: Space) -> ValidationReport:
 
     off = d[~np.eye(space.n, dtype=bool)]
     pos = float(off.min()) if off.size else np.inf
-    check("metric_positive_offdiag", max(0.0, -pos) if pos <= 0 else 0.0, 0.0, pos > 0 or not off.size,
+    check("metric_positive_offdiag", 0.0 - min(pos, 0.0), 0.0, pos > 0 or not off.size,  # NaN for a NaN distance
           detail="min off-diagonal distance %.3g" % (pos if off.size else np.inf))
 
     tri = _triangle_residual(d, space.metric_sentinel)

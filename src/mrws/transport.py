@@ -14,6 +14,9 @@ pairs, one pair per row. A row has a closed form when either marginal is a
 point mass, which forces the coupling, or on a tree metric, where W1 is the
 edge-weighted sum of the subtree imbalances, certified by a tree potential;
 the closed forms run row by row, so a row's bits do not depend on its stack.
+``_tree`` reads the tree off the distance matrix alone, whichever pairs the
+kernel joins, so it finds every metric that is the path metric of a tree on
+the points; this module uses no graph library.
 ``_w1`` solves each row left by the LP of ``wasserstein``. ``_w1_upper`` bounds
 each row left from above without an LP (a greedy coupling, run for every row
 in lock step), so that ``_best_first``, the one search for the largest (or
@@ -288,38 +291,40 @@ def _closed_form(space: Space, a: np.ndarray, b: np.ndarray) -> tuple[float, flo
 
 
 def _tree(space: Space):
-    """The spanning tree of the support graph whose path metric is the space's
-    metric, as (below, w), or None when there is none. Memoized per space.
+    """The tree on the points whose path metric is the space's metric, as
+    (below, w), or None when there is none. Memoized per space.
 
-    The candidate is the minimum spanning tree of the support edges weighted
-    by the metric: a support edge off a tree that the metric follows is the
-    longest edge of its cycle, so no other tree can qualify. It is accepted
-    when it spans every point and its path lengths equal the metric within
-    GEODESIC_RTOL; several blocks, sentinel distances or a shortcut reject it.
-    Rooted at point 0, below[v, c] = 1 when v lies in the subtree of c, and
-    w[c] is the length of the edge from c to its parent (0 at the root).
+    Every distance must be finite. The tree is read off the distances from
+    point 0, its root, which must be positive and below the sentinel. A point
+    p lies between 0 and v when d(0, p) + d(p, v) <= d(0, v) (1 +
+    GEODESIC_RTOL); the parent of v is the nearest p that lies between 0 and
+    v and is nearer to 0 than v. On a tree metric that is the next point on
+    the path from v to 0, so no graph search is needed. below[v, c] = 1 when
+    v lies in the subtree of c, and w[c] = d(c, parent) is the length of the
+    edge from c to its parent (0 at the root). The candidate is accepted when
+    its path lengths, A + A^T with A = (below w)(1 - below)^T, a sum of
+    nonnegative terms, equal the metric within GEODESIC_RTOL of the path
+    length everywhere.
     """
     def compute():
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree, shortest_path
-
-        n = space.n
-        d = space.metric
-        adj = (space.kernel > 0) | (space.kernel.T > 0)
-        i, j = np.nonzero(np.triu(adj, k=1) & (d > 0) & np.isfinite(d))
-        mst = minimum_spanning_tree(csr_matrix((d[i, j], (i, j)), shape=(n, n)))
-        order, parent = breadth_first_order(mst, 0, directed=False)
-        if order.size < n:
+        n, d = space.n, space.metric
+        d0 = d[0]
+        sentinel = np.inf if space.metric_sentinel is None else space.metric_sentinel
+        if not (np.isfinite(d).all() and ((d0[1:] > 0) & (d0[1:] < sentinel)).all()):
             return None
-        if not np.all(np.abs(shortest_path(mst, directed=False) - d) <= GEODESIC_RTOL * d):
-            return None
+        # [p, v]: p is nearer to 0 than v and lies between them
+        between = (d0[:, None] < d0) & (d0[:, None] + d <= d0 * (1.0 + GEODESIC_RTOL))
+        parent = np.where(between, d, np.inf).argmin(axis=0)
         below = np.zeros((n, n))
         below[0, 0] = 1.0
-        for v in order[1:]:  # each parent comes before its children
+        for v in np.argsort(d0[1:], kind="stable") + 1:  # each parent comes before its children
             below[v] = below[parent[v]]
             below[v, v] = 1.0
-        w = np.zeros(n)
-        w[order[1:]] = d[order[1:], parent[order[1:]]]
+        w = np.append(0.0, d[np.arange(1, n), parent[1:]])
+        A = (below * w) @ (1.0 - below).T
+        path = A + A.T
+        if not (np.abs(path - d) <= GEODESIC_RTOL * path).all():
+            return None
         return _readonly(below), _readonly(w)
 
     return _linalg._memo(space, "tree", compute)

@@ -6,7 +6,8 @@ The exceptions are ``point_forms``, which assembles the library's per-point
 Gamma2 matrix so that the tests can check it against ``gamma2`` directly, and
 ``w1_upper_scalar``, which takes the library's closed forms for the pairs
 that have one, so that it checks only the greedy coupling. ``transport_lp``
-is scipy's HiGHS solver, the reference for the library's own simplex.
+is scipy's HiGHS solver, the reference for the library's own simplex, and
+``tree_support_mst`` finds trees with scipy's graph routines.
 """
 
 import math
@@ -18,7 +19,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from mrws.curvature import _gamma2_matrix
-from mrws.transport import _closed_form
+from mrws.transport import GEODESIC_RTOL, _closed_form
 
 
 def w1_bruteforce(mu, nu, cost):
@@ -114,6 +115,35 @@ def w1_upper_scalar(space, mu, nu):
         if not (rows_left and cols_left):
             break
     return cost
+
+
+def tree_support_mst(space):
+    """The library's former tree test, by scipy's graph routines: the minimum
+    spanning tree of the support edges weighted by the metric, rooted at point
+    0 in breadth-first order, as (below, w) when it spans every point and its
+    path lengths equal the metric within GEODESIC_RTOL of the distance, else
+    None. It finds only trees whose edges are support edges."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree, shortest_path
+
+    n = space.n
+    d = space.metric
+    adj = (space.kernel > 0) | (space.kernel.T > 0)
+    i, j = np.nonzero(np.triu(adj, k=1) & (d > 0) & np.isfinite(d))
+    mst = minimum_spanning_tree(csr_matrix((d[i, j], (i, j)), shape=(n, n)))
+    order, parent = breadth_first_order(mst, 0, directed=False)
+    if order.size < n:
+        return None
+    if not np.all(np.abs(shortest_path(mst, directed=False) - d) <= GEODESIC_RTOL * d):
+        return None
+    below = np.zeros((n, n))
+    below[0, 0] = 1.0
+    for v in order[1:]:  # each parent comes before its children
+        below[v] = below[parent[v]]
+        below[v, v] = 1.0
+    w = np.zeros(n)
+    w[order[1:]] = d[order[1:], parent[order[1:]]]
+    return below, w
 
 
 def gamma_pointwise(space, f, x):

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mrws import Space, space_to_json
-from mrws import cli, curvature, geometry
+from mrws import cli, curvature, geometry, transport
 from mrws.builders import (cycle, grid_kernel_neumann, k3 as make_k3, lazy_cycle, p3 as make_p3,
                            random_reversible_space, two_block)
 from mrws.cli import main
@@ -312,6 +312,16 @@ def test_analyze_two_block(tmp_path, capsys):
     assert isinstance(obj["transport"]["max_ratios"]["ti_ollivier"], dict)
 
 
+def test_analyze_two_block_solves_no_lp(tmp_path, capsys, monkeypatch):
+    # the explicit metric is a line, a tree metric, so every W1 of the
+    # curvature and the verifiers has the tree closed form
+    lps = []
+    monkeypatch.setattr(transport, "linprog", lambda *a, real=transport.linprog: lps.append(1) or real(*a))
+    code, _ = run(capsys, ["analyze", write_space(tmp_path, two_block(0.1))])
+    assert code == 0
+    assert not lps
+
+
 def test_duplicate_labels_exit_1(tmp_path, capsys):
     obj = space_to_json(make_p3())
     obj["labels"] = ["a", "b", "a"]
@@ -341,14 +351,20 @@ def test_analyze_deterministic_bytes(tmp_path, capsys):
     assert first == second
 
 
-def test_start_up_imports_no_scipy():
+def test_start_up_imports_no_scipy(tmp_path):
     # scipy is imported inside the functions that use it, so a command that
-    # needs none of them does not pay for its import
-    code = "import sys, mrws.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # needs none of them does not pay for its import: neither the import
+    # alone nor the curvature of a grid with an explicit metric, whose W1 all
+    # have the tree closed form
+    path = write_space(tmp_path, grid_kernel_neumann([(0.0, 1.0)], h=0.05, radius=0.12))
+    code = ("import sys, mrws.cli\n"
+            "if sys.argv[1:]: assert mrws.cli.main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    for argv in ([], ["curvature", path, "--be", "2,inf", "--ollivier", "edges"]):
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stderr.strip() == "[]"
 
 
 def test_unknown_flag_exits_64(capsys):

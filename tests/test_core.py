@@ -17,8 +17,8 @@ from mrws import (
     space_to_json,
     validate_space,
 )
-from mrws.core import _triangle_residual, shortest_path_metric
-from mrws.builders import grid_kernel_neumann, random_reversible_space, two_block, two_block_halves
+from mrws.core import TOL_METRIC, _triangle_residual, shortest_path_metric
+from mrws.builders import disjoint_union, grid_kernel_neumann, random_reversible_space, two_block, two_block_halves
 
 import _oracles
 from conftest import random_spaces
@@ -101,6 +101,37 @@ def test_non_finite_residuals_are_violations(p3):
     with np.errstate(invalid="ignore"):
         report = validate_space(Space(p3.labels, d, p3.kernel, p3.measure, metric_sentinel=np.inf))
     assert report.residual("metric_triangle") == 0.0
+
+
+def test_metric_tolerances_scale_by_the_finite_distances_below_the_sentinel(p3, k3):
+    # an infinite distance at a sentinel of inf leaves the scale to the finite
+    # distances, so a diagonal entry of 5 is a violation, not within tolerance inf
+    d = p3.metric.copy()
+    d[0, 2] = d[2, 0] = np.inf
+    d[1, 1] = 5.0
+    with np.errstate(invalid="ignore"):
+        report = validate_space(Space(p3.labels, d, p3.kernel, p3.measure, metric_sentinel=np.inf))
+    diag = next(c for c in report.checks if c.axiom == "metric_zero_diagonal")
+    assert (diag.residual, diag.tolerance, diag.ok) == (5.0, TOL_METRIC * 5.0, False)
+    # the cross distances of K3 and K3 sit at the sentinel 6, the rest at 1
+    report = validate_space(disjoint_union(k3, k3))
+    assert report.ok
+    assert {c.axiom: c.tolerance for c in report.checks if c.axiom in ("metric_zero_diagonal", "metric_symmetric")} \
+        == {"metric_zero_diagonal": TOL_METRIC, "metric_symmetric": TOL_METRIC}
+
+
+def test_nan_distance_has_infinite_offdiag_residual(p3):
+    # a NaN distance reads inf; a finite one keeps its residual
+    residuals = []
+    for value in (np.nan, 0.0, -0.5):
+        d = p3.metric.copy()
+        d[0, 1] = d[1, 0] = value
+        with np.errstate(invalid="ignore"):
+            report = validate_space(Space(p3.labels, d, p3.kernel, p3.measure))
+        assert "metric_positive_offdiag" in {c.axiom for c in report.violations}
+        residuals.append(report.residual("metric_positive_offdiag"))
+    assert residuals == [np.inf, 0.0, 0.5]
+    assert validate_space(p3).residual("metric_positive_offdiag") == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -457,8 +457,10 @@ def _grid200():
 
 
 def test_tree_metrics_are_detected():
+    # TwoBlock(0.1) and the two-interval grid are lines whose edge across the
+    # gap is no support edge
     trees = [make_p3(), linear_chain(15), random_tree_space(30, np.random.default_rng(5)),
-             _grid200()]
+             _grid200(), make_two_block(0.1), grid_kernel_neumann([(0.0, 1.0), (2.0, 3.0)], h=0.05, radius=0.12)]
     for sp in trees:
         below, w = _tree(sp)
         assert below.shape == (sp.n, sp.n) and (w > 0).sum() == sp.n - 1

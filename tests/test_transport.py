@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from mrws import (
     wasserstein,
 )
 from mrws import Space, curvature, transport
-from mrws.builders import grid_kernel_neumann, lazy_cycle, random_reversible_space, two_block_halves
-from mrws.transport import KINDS, _best_first, _closed_form, _tree, _w1, _w1_upper
+from mrws.builders import disjoint_union, grid_kernel_neumann, lazy_cycle, random_reversible_space, two_block_halves
+from mrws.transport import GEODESIC_RTOL, KINDS, _best_first, _closed_form, _tree, _w1, _w1_upper
 
 import _oracles
 from conftest import PRUNING_KINDS, infinite_w1_upper, loose_w1_upper, pruning_space, random_spaces, random_tree_space
@@ -385,6 +386,61 @@ def test_tree_potential_is_a_lipschitz_certificate(rng):
         u = below @ (w * np.sign(s))
         assert (np.abs(u[:, None] - u[None, :]) <= sp.metric * (1 + 1e-12)).all()
         assert float((a - b) @ u) == pytest.approx(_w1(sp, [a], [b])[0][0], abs=1e-12)
+
+
+def _tree_draw(kind, rng):
+    """A random tree space, a ``pruning_space``, a random graph-metric space,
+    a grid over one or two intervals, or two of these side by side."""
+    if kind == "tree":
+        return random_tree_space(int(rng.integers(2, 30)), rng, self_loops=bool(rng.random() < 0.5))
+    if kind in PRUNING_KINDS:
+        return pruning_space(kind, rng)
+    if kind == "graph":
+        return random_reversible_space(int(rng.integers(2, 20)), rng, density=float(rng.uniform(0.05, 0.9)),
+                                       connected=bool(rng.random() < 0.7), self_loops=bool(rng.random() < 0.4))
+    if kind == "grid":
+        h = 1.0 / int(rng.integers(1, 12))
+        intervals = [(0.0, 1.0), (2.0, 3.0)][:int(rng.integers(1, 3))]
+        return grid_kernel_neumann(intervals, h=h, radius=float(rng.uniform(1.05, 3.0)) * h)
+    return disjoint_union(*(_tree_draw(str(rng.choice(["tree", "graph", "grid"])), rng) for _ in "ab"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(("tree", "graph", "grid", "union") + PRUNING_KINDS),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_tree_keeps_every_support_tree_bit_for_bit(kind, seed):
+    # wherever the support-MST oracle finds a tree, _tree finds the same one;
+    # where only _tree finds one, its path lengths are the metric and some
+    # tree edge is no support edge
+    sp = _tree_draw(kind, np.random.default_rng(seed))
+    tree, oracle = _tree(sp), _oracles.tree_support_mst(sp)
+    if oracle is not None:
+        assert tree is not None
+        assert [x.tobytes() for x in tree] == [x.tobytes() for x in oracle]
+    elif tree is not None:
+        below, w = tree
+        path = np.abs(below[:, None, :] - below[None, :, :]) @ w  # the edges that separate u and v
+        assert (np.abs(path - sp.metric) <= GEODESIC_RTOL * path).all()
+        ancestors = below.sum(axis=1)
+        parent = [int(np.argmax(below[c] * ancestors * (np.arange(sp.n) != c))) for c in range(1, sp.n)]
+        support = (sp.kernel > 0) | (sp.kernel.T > 0)
+        assert not all(support[c, p] for c, p in enumerate(parent, start=1))
+
+
+def test_tree_rejects_an_infinite_distance(p3):
+    # d(a, c) = inf in the root's row, d(b, c) = inf off it, and d(c, b) =
+    # inf alone: no tree, and no warning on the way. On the first two the rows
+    # then go to the LP, which refuses infinite costs
+    for pairs in (((0, 2), (2, 0)), ((1, 2), (2, 1)), ((2, 1),)):
+        d = p3.metric.copy()
+        d[tuple(zip(*pairs))] = np.inf
+        sp = Space(p3.labels, d, p3.kernel, p3.measure)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _tree(sp) is None
+        if len(pairs) == 2:
+            with pytest.raises(ValueError, match="transport costs must be finite"):
+                _w1(sp, [[0.9, 0.1, 0.0]], [[0.0, 0.1, 0.9]])
 
 
 def test_point_mass_closed_form_matches_the_lp(rng, monkeypatch):
