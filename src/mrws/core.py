@@ -391,8 +391,9 @@ def space_from_json(obj: dict) -> Space:
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
         raise StructuralError("kernel must be a square matrix")
 
-    sums = kernel.sum(axis=1)
-    if np.abs(sums - 1.0).max() > 1e-9:
+    with np.errstate(invalid="ignore"):  # inf - inf: the NaN sum fails below
+        sums = kernel.sum(axis=1)
+    if not np.abs(sums - 1.0).max() <= 1e-9:
         raise StructuralError("kernel rows must sum to 1 within 1e-9")
     kernel = kernel / sums[:, None]
 

@@ -11,7 +11,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import _linalg
+from . import _linalg, transport
 from .core import ScalarField, Space, _readonly, as_values
 from .heat import heat_evolve
 from .transport import GEODESIC_RTOL, _best_first, _passes, _w1, _w1_upper
@@ -64,16 +64,65 @@ def gamma2(space: Space, f, g=None) -> ScalarField:
 # per-point quadratic forms
 
 
-def _gamma2_matrix(P: np.ndarray, P2: np.ndarray, x: int, J: np.ndarray, n_param: float):
-    """Matrix A with f_J.A f_J = Gamma2(f)(x) - (Lf)(x)^2 / n_param for each field f with
-    f(x) = 0 that vanishes off J (a row at x, if J holds x, is meaningless). With p = P[x],
-    A = diag((P^2)[x,J]) / 4 + diag(p_J) / 2 - (diag(p_J) P_JJ + P_JJ^T diag(p_J)) / 2
-        + (1/2 - 1/n_param) p_J p_J^T."""
-    p = P[x, J]
-    A = p[:, None] * P[np.ix_(J, J)]
-    A = (0.5 - 1.0 / n_param) * np.outer(p, p) - 0.5 * (A + A.T)
-    A[np.diag_indices_from(A)] += 0.25 * P2[x, J] + 0.5 * p
+def _gamma2_matrix(P: np.ndarray, P2: np.ndarray, xs: np.ndarray, J: np.ndarray, n_param: float):
+    """Stack of matrices A, one per point x = xs[i] with its index set J[i], such that
+    f_J.A[i] f_J = Gamma2(f)(x) - (Lf)(x)^2 / n_param for each field f with f(x) = 0 that
+    vanishes off J[i] (a row at x, if J[i] holds x, is meaningless). With p = P[x, J[i]],
+    A[i] = diag((P^2)[x,J]) / 4 + diag(p) / 2 - (diag(p) P_JJ + P_JJ^T diag(p)) / 2
+           + (1/2 - 1/n_param) p p^T.
+    xs has shape (m,), J shape (m, d) and A shape (m, d, d); at most two arrays of
+    that size are alive while it is built."""
+    p = P[xs[:, None], J]
+    A = P[J[:, :, None], J[:, None, :]]
+    A *= p[:, :, None]
+    V = A + A.swapaxes(1, 2)
+    V *= 0.5
+    np.multiply(p[:, :, None], p[:, None, :], out=A)
+    A *= 0.5 - 1.0 / n_param
+    A -= V
+    d = np.arange(J.shape[1])
+    A[:, d, d] += 0.25 * P2[xs[:, None], J] + 0.5 * p
     return A
+
+
+def _be_groups(space: Space) -> tuple:
+    """(P^2, groups) for the Bakry-Emery forms. Each group holds the points x with
+    one (|Y|, |Z|), |Y| > 0, as (xs, J, |Y|): xs ascending, and J[i] the neighbours Y
+    of xs[i] followed by its second ring Z, each ascending (``be_best_constant``
+    defines both). Memoized per space, for every dimension parameter."""
+    def compute():
+        P = space.kernel
+        P2 = _readonly(P @ P)
+        away = ~np.eye(space.n, dtype=bool)
+        Y = away & (P > 0)
+        Z = away & (P == 0) & (P2 > 0)
+        dy, dz = Y.sum(axis=1), Z.sum(axis=1)
+        groups = []
+        for a, b in np.unique(np.stack([dy, dz], axis=1)[dy > 0], axis=0).tolist():
+            xs = np.flatnonzero((dy == a) & (dz == b))
+            J = np.hstack([np.nonzero(Y[xs])[1].reshape(xs.size, a),
+                           np.nonzero(Z[xs])[1].reshape(xs.size, b)])
+            xs.flags.writeable = J.flags.writeable = False
+            groups.append((xs, J, a))
+        return P2, tuple(groups)
+
+    return _linalg._memo(space, "be_groups", compute)
+
+
+def _be_chunk(P: np.ndarray, P2: np.ndarray, xs: np.ndarray, J: np.ndarray, dy: int,
+              n_param: float) -> np.ndarray:
+    """K(x) for the points xs of one group, J and dy as in ``_be_groups``: their
+    forms as one stack, the second ring eliminated and the neighbours scaled in
+    place, and one stacked eigvalsh. At most two arrays of the stack's size are
+    alive, and all die with the call, before the next chunk's are built."""
+    A = _gamma2_matrix(P, P2, xs, J, n_param)
+    S = A[:, :dy, :dy]  # a view: the Schur complement and the scaling go into A
+    AYZ = A[:, :dy, dy:]
+    S -= (AYZ / np.diagonal(A, axis1=1, axis2=2)[:, None, dy:]) @ AYZ.swapaxes(1, 2)
+    s = 1.0 / np.sqrt(0.5 * P[xs[:, None], J[:, :dy]])
+    S *= s[:, :, None]
+    S *= s[:, None, :]
+    return np.linalg.eigvalsh(S).min(axis=1)
 
 
 @dataclass(frozen=True)
@@ -99,32 +148,29 @@ def be_best_constant(space: Space, n_param: float) -> BEResult:
         K(x) = lambda_min(s (A_YY - A_YZ A_ZZ^-1 A_ZY) s),  s = (k(x,Y) / 2)^(-1/2).
 
     K(x) = +inf at a point with no neighbour, where Gamma(f)(x) = 0 for every
-    f. The reduction needs a nonnegative kernel; a negative entry raises
-    ValueError. Memoized per space and float(n_param), with P^2 memoized once
-    per space for every n_param.
+    f. The points are taken in groups of equal (|Y|, |Z|) (``_be_groups``),
+    each in chunks of at most ``transport._BLOCK_CELLS`` // (2 (|Y| + |Z|)^2)
+    points (at least one), as ``_be_chunk`` keeps two stacks of a chunk's
+    forms alive: a chunk's forms are built as one stack, and one stacked
+    ``eigvalsh`` gives its K(x), bit for bit what one point at a time gives.
+    The reduction needs a finite nonnegative kernel; any other entry
+    raises ValueError. Memoized per space and float(n_param), with the groups
+    and P^2 memoized once per space for every n_param.
     """
     if not n_param > 1:
         raise ValueError("dimension parameter must satisfy n > 1 (inf allowed)")
-    if space.kernel.min(initial=0.0) < 0:
-        raise ValueError("the Bakry-Emery constant needs a nonnegative kernel")
+    if not (np.isfinite(space.kernel).all() and space.kernel.min(initial=0.0) >= 0):
+        raise ValueError("the Bakry-Emery constant needs a finite nonnegative kernel")
     n_param = float(n_param)
 
     def compute():
-        P = space.kernel
-        P2 = _linalg._memo(space, "kernel_square", lambda: _readonly(P @ P))
-        n = space.n
-        ks = np.full(n, math.inf)
-        for x in range(n):
-            away = np.arange(n) != x
-            Y = np.flatnonzero(away & (P[x] > 0))
-            if not Y.size:
-                continue
-            Z = np.flatnonzero(away & (P[x] == 0) & (P2[x] > 0))
-            A = _gamma2_matrix(P, P2, x, np.concatenate([Y, Z]), n_param)
-            AYZ = A[:Y.size, Y.size:]
-            S = A[:Y.size, :Y.size] - (AYZ / np.diag(A)[Y.size:]) @ AYZ.T
-            s = 1.0 / np.sqrt(0.5 * P[x, Y])
-            ks[x] = np.linalg.eigvalsh(s[:, None] * S * s).min()
+        P2, groups = _be_groups(space)
+        ks = np.full(space.n, math.inf)
+        for xs, J, dy in groups:
+            step = max(1, transport._BLOCK_CELLS // (2 * J.shape[1] ** 2))
+            for lo in range(0, xs.size, step):
+                ks[xs[lo:lo + step]] = _be_chunk(space.kernel, P2, xs[lo:lo + step],
+                                                 J[lo:lo + step], dy, n_param)
         return BEResult(n_param, float(ks.min(initial=math.inf)), _readonly(ks))
 
     return _linalg._memo(space, ("be", n_param), compute)

@@ -235,6 +235,9 @@ def cheeger(space: Space, mode: str = "exact") -> CheegerResult:
                 best, best_id = float(ratio[j]), lo + j
                 if best == 0.0:  # nothing is lower, and a later id loses the tie
                     break
+        if best_id is None:
+            raise ValueError("no bipartition has a finite Cheeger ratio: the kernel or the measure "
+                             "holds a non-finite entry")
         mask = np.array([(best_id >> i) & 1 for i in range(n)], dtype=bool)
         if space.nu[mask].sum() > 0.5:
             mask = ~mask

@@ -56,6 +56,8 @@ GEODESIC_RTOL = 1e-12
 PRUNE_RTOL = 1e-9
 # Most cells in one pass over a stack of marginal pairs (``_passes``): a row
 # takes at most n^2 cells of the greedy's padded cost block (16 MB in all).
+# It also caps the two live stacks of a chunk of Bakry-Emery forms
+# (``curvature.be_best_constant``).
 _BLOCK_CELLS = 1 << 21
 
 

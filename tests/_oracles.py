@@ -3,9 +3,11 @@
 Everything here is deliberately written the slow, obvious way (plain loops,
 exhaustive enumeration) and shares no code with the library paths it checks.
 The exceptions are ``point_forms``, which assembles the library's per-point
-Gamma2 matrix so that the tests can check it against ``gamma2`` directly, and
-``w1_upper_scalar``, which takes the library's closed forms for the pairs
-that have one, so that it checks only the greedy coupling. ``transport_lp``
+Gamma2 matrix so that the tests can check it against ``gamma2`` directly,
+``be_constant_per_point``, which takes that matrix too, so that it checks the
+grouping and chunking of the Bakry-Emery points, and ``w1_upper_scalar``,
+which takes the library's closed forms for the pairs that have one, so that
+it checks only the greedy coupling. ``transport_lp``
 is scipy's HiGHS solver, the reference for the library's own simplex, and
 ``tree_support_mst`` finds trees with scipy's graph routines.
 """
@@ -214,6 +216,30 @@ def be_constant_bisection(space, x, n_param):
     return lo
 
 
+def be_constant_per_point(space, n_param):
+    """K(x) at every point by the library's former loop: one point at a time, its
+    form ``curvature._gamma2_matrix`` on a one-row stack, the second ring
+    eliminated by its Schur complement, the neighbours scaled and one eigvalsh;
+    +inf at a point with no neighbour. The library's grouped and chunked stacks
+    must give the same bits."""
+    P = space.kernel
+    P2 = P @ P
+    n = space.n
+    ks = np.full(n, np.inf)
+    for x in range(n):
+        away = np.arange(n) != x
+        Y = np.flatnonzero(away & (P[x] > 0))
+        if not Y.size:
+            continue
+        Z = np.flatnonzero(away & (P[x] == 0) & (P2[x] > 0))
+        A = _gamma2_matrix(P, P2, np.array([x]), np.concatenate([Y, Z])[None], n_param)[0]
+        AYZ = A[:Y.size, Y.size:]
+        S = A[:Y.size, :Y.size] - (AYZ / np.diag(A)[Y.size:]) @ AYZ.T
+        s = 1.0 / np.sqrt(0.5 * P[x, Y])
+        ks[x] = np.linalg.eigvalsh(s[:, None] * S * s).min()
+    return ks
+
+
 def total_variation_loops(space, u):
     """Definition of the nonlocal total variation, as explicit loops."""
     u = np.asarray(u, float)
@@ -396,5 +422,5 @@ def point_forms(space):
         C = np.eye(n)
         C[:, x] -= 1.0
         B[x] = C.T @ (0.5 * P[x, :, None] * C)
-        M2[x] = C.T @ _gamma2_matrix(P, P2, x, np.arange(n), np.inf) @ C
+        M2[x] = C.T @ _gamma2_matrix(P, P2, np.array([x]), np.arange(n)[None], np.inf)[0] @ C
     return PointQuadraticForms(B, M2, P - np.eye(n))

@@ -198,6 +198,20 @@ def test_curvature_negative_kernel_exits_1(tmp_path, capsys):
     assert "Bakry-Emery" in capsys.readouterr().err  # rejected before any transport LP
 
 
+@pytest.mark.parametrize("row", [[0.0, np.nan, 0.0], [np.inf, -np.inf, 1.0]], ids=["nan", "+-inf"])
+@pytest.mark.parametrize("command", [["curvature", "--be", "2"], ["cheeger"],
+                                     ["verify", "--inequality", "te"], ["validate"]],
+                         ids=lambda c: c[0])
+def test_non_finite_kernel_row_is_structural(tmp_path, capsys, row, command):
+    obj = space_to_json(make_p3())
+    obj["kernel"][0] = row
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = _outcome(capsys, [command[0], str(bad), *command[1:]])
+    assert (code, out) == (1, "")
+    assert err == "mrws: structural error: kernel rows must sum to 1 within 1e-9\n"
+
+
 def test_transport_output(tmp_path, capsys):
     path = write_space(tmp_path, make_p3())
     mu = write_field(tmp_path, [1.0, 0.0, 0.0], "mu.json")

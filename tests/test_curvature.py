@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrws import (
@@ -165,6 +165,54 @@ def test_be_constant_rejects_negative_kernel(p3):
     P[0] = [1.5, -0.5, 0.0]
     with pytest.raises(ValueError, match="nonnegative"):
         be_best_constant(Space(p3.labels, p3.metric, P, p3.measure), 2.0)
+
+
+def test_be_constant_rejects_a_non_finite_kernel(p3):
+    for bad in (np.nan, np.inf):
+        P = p3.kernel.copy()
+        P[0, 1] = bad
+        with pytest.raises(ValueError, match="finite nonnegative kernel"):
+            be_best_constant(Space(p3.labels, p3.metric, P, p3.measure), 2.0)
+
+
+def _hexes(values):
+    return [v.hex() for v in np.asarray(values).tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 14), seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.0, 1.0),
+       connected=st.booleans(), self_loops=st.booleans(),
+       n_param=st.sampled_from([2.0, 3.5, np.inf]))
+@example(n=1, seed=0, density=0.5, connected=True, self_loops=False, n_param=2.0)
+@example(n=2, seed=0, density=0.0, connected=False, self_loops=False, n_param=3.5)  # no neighbours
+@example(n=2, seed=0, density=1.0, connected=True, self_loops=True, n_param=np.inf)
+@example(n=9, seed=3, density=0.2, connected=False, self_loops=True, n_param=2.0)
+def test_grouped_be_keeps_every_per_point_bit(n, seed, density, connected, self_loops, n_param):
+    sp = random_reversible_space(n, np.random.default_rng(seed), density=density,
+                                 connected=connected, self_loops=self_loops)
+    got = be_best_constant(sp, n_param).k_best_per_point
+    assert _hexes(got) == _hexes(_oracles.be_constant_per_point(sp, n_param))
+
+
+def test_grouped_be_keeps_its_bits_in_chunks_of_one_and_two(monkeypatch):
+    sp = grid_kernel_neumann([(0, 1)], h=1 / 29, radius=2.5 / 29)  # the inner points form one group
+    _, groups = curvature._be_groups(sp)
+    xs, J, _ = max(groups, key=lambda g: g[0].size)
+    d = J.shape[1]
+    real = curvature._be_chunk
+    for per_chunk in (1, 2):
+        cells = 2 * per_chunk * d * d  # a chunk keeps two stacks of its forms alive
+        monkeypatch.setattr(transport, "_BLOCK_CELLS", cells)
+        chunks = []
+        monkeypatch.setattr(curvature, "_be_chunk", lambda P, P2, xs, J, *rest: chunks.append(
+            J.shape) or real(P, P2, xs, J, *rest))
+        for n_param in (2.0, 3.5, np.inf):
+            fresh = Space(sp.labels, sp.metric, sp.kernel, sp.measure, sp.metric_sentinel)
+            got = be_best_constant(fresh, n_param).k_best_per_point
+            assert _hexes(got) == _hexes(_oracles.be_constant_per_point(sp, n_param))
+        assert all(m == 1 or 2 * m * w * w <= cells for m, w in chunks)
+        assert max(m for m, w in chunks if w == d) == per_chunk
+        assert sum(m for m, w in chunks if w == d) == 3 * xs.size
 
 
 def test_p3_constants_match_closed_form(p3):
@@ -558,9 +606,9 @@ def test_memo_entry_dies_with_its_space():
     ollivier_global(sp)
     spectral_gap(sp)
     assert len(_linalg._MEMO[sp]) == 21  # one entry per result, all on this space: BE and
-    # the kernel square it reads, the decomposition, the invariant blocks, the
-    # all-pairs curvature, its 15 pair curvatures and the tree test of the
-    # transport dispatch
+    # the point groups and kernel square it reads (one entry), the decomposition,
+    # the invariant blocks, the all-pairs curvature, its 15 pair curvatures and
+    # the tree test of the transport dispatch
     kappa_global(sp)
     assert len(_linalg._MEMO[sp]) == 23  # the needed pairs and the global curvature; its
     # pair curvatures are the all-pairs ones, and the bounds are not kept

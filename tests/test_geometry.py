@@ -239,6 +239,14 @@ def test_cheeger_matches_bruteforce(rng):
         assert ratio == pytest.approx(res.upper, abs=1e-12)
 
 
+def test_exact_cheeger_names_a_non_finite_kernel(p3):
+    nan_kernel = Space(p3.labels, p3.metric, np.full((3, 3), np.nan), p3.measure)
+    nan_measure = Space(p3.labels, p3.metric, p3.kernel, [np.nan, 1.0, 1.0])
+    for sp in (nan_kernel, nan_measure):
+        with pytest.raises(ValueError, match="no bipartition has a finite Cheeger ratio.*non-finite"):
+            cheeger(sp, mode="exact")
+
+
 def test_exact_mode_size_guard():
     from mrws.builders import random_reversible_space
 
