@@ -197,11 +197,18 @@ def heat_trajectory(space: Space, u0, times, method: str = "series", tol: float 
 
 def stationary_limit(space: Space, u0) -> ScalarField:
     """Long-time limit of the flow: the measure-weighted average on each
-    invariant block (the single global average when the space is ergodic)."""
+    invariant block (the single global average when the space is ergodic).
+
+    A point in no invariant block, which the walk leaves for good, tends to a
+    mix of the block averages weighted by where it is absorbed; that is not
+    computed here, so such points raise a ValueError naming them."""
+    blocks = [b.mask for b in invariant_blocks(space).blocks]
+    stray = np.flatnonzero(sum(blocks, np.zeros(space.n, dtype=int)) == 0)
+    if stray.size:
+        raise ValueError(f"points {[space.labels[i] for i in stray]} lie in no invariant block")
     v = as_values(space, u0)
     nu = space.nu
     out = np.empty_like(v)
-    for block in invariant_blocks(space).blocks:
-        m = block.mask
+    for m in blocks:
         out[m] = float(np.dot(nu[m], v[m]) / nu[m].sum())
     return ScalarField(space, out)

@@ -437,12 +437,15 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
     densities not yet seen by one stacked ``_w1_upper`` call, one (f nu, nu)
     row each. A kind only maps the records to right sides and ratio bounds.
     The exact W1(f nu, nu) of a density the search solves is memoized under
-    the same bytes.
+    the same bytes. A normalized measure with a NaN or infinite entry is
+    refused with a ValueError before any density is drawn.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1 (got {trials})")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
+    if not np.isfinite(space.nu).all():
+        raise ValueError("the transport inequalities need a finite normalized measure")
     from .connectivity import invariant_blocks
     from .curvature import ALL_PAIRS_LIMIT, be_best_constant, kappa_global  # deferred: cyclic module pair
 

@@ -8,8 +8,10 @@ Gamma2 matrix so that the tests can check it against ``gamma2`` directly,
 grouping and chunking of the Bakry-Emery points, and ``w1_upper_scalar``,
 which takes the library's closed forms for the pairs that have one, so that
 it checks only the greedy coupling. ``transport_lp``
-is scipy's HiGHS solver, the reference for the library's own simplex, and
-``tree_support_mst`` finds trees with scipy's graph routines.
+is scipy's HiGHS solver, the reference for the library's own simplex,
+``tree_support_mst`` finds trees with scipy's graph routines, and
+``invariant_blocks_scc`` takes the closed classes from scipy's strong
+components.
 """
 
 import math
@@ -146,6 +148,23 @@ def tree_support_mst(space):
     w = np.zeros(n)
     w[order[1:]] = d[order[1:], parent[order[1:]]]
     return below, w
+
+
+def invariant_blocks_scc(space):
+    """The library's former invariant blocks, by scipy's strong components of
+    the support digraph {kernel > 0}: the classes with no nonzero kernel entry
+    leaving them, as boolean masks in the order of their least point."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rows, cols = np.nonzero(space.kernel > 0)
+    indptr = np.searchsorted(rows, np.arange(space.n + 1)).astype(np.int32)
+    graph = csr_matrix((np.ones(cols.size), cols.astype(np.int32), indptr), shape=(space.n, space.n))
+    ncomp, labels = connected_components(graph, connection="strong")
+    leaving = ((space.kernel != 0) & (labels[:, None] != labels[None, :])).any(axis=1)
+    open_class = np.bincount(labels, weights=leaving, minlength=ncomp) > 0
+    _, first = np.unique(labels, return_index=True)
+    return tuple(labels == c for c in np.argsort(first) if not open_class[c])
 
 
 def gamma_pointwise(space, f, x):

@@ -366,19 +366,21 @@ def test_analyze_deterministic_bytes(tmp_path, capsys):
 
 
 def test_start_up_imports_no_scipy(tmp_path):
-    # scipy is imported inside the functions that use it, so a command that
-    # needs none of them does not pay for its import: neither the import
-    # alone nor the curvature of a grid with an explicit metric, whose W1 all
-    # have the tree closed form
+    # scipy is imported inside the one function that uses it, the graph
+    # metric of a graph_shortest_path input, so no command on a grid with an
+    # explicit metric pays for its import: neither the import alone, nor the
+    # curvature, whose W1 all have the tree closed form, nor the commands that
+    # read the invariant blocks; each runs in a fresh process
     path = write_space(tmp_path, grid_kernel_neumann([(0.0, 1.0)], h=0.05, radius=0.12))
     code = ("import sys, mrws.cli\n"
             "if sys.argv[1:]: assert mrws.cli.main(sys.argv[1:]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    for argv in ([], ["curvature", path, "--be", "2,inf", "--ollivier", "edges"]):
+    for argv in ([], ["curvature", path, "--be", "2,inf", "--ollivier", "edges"], ["spectral", path],
+                 ["cheeger", path], ["connect", path], ["analyze", path, "--trials", "5"]):
         out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": src})
-        assert out.stderr.strip() == "[]"
+        assert out.stderr.strip() == "[]", argv
 
 
 def test_unknown_flag_exits_64(capsys):
@@ -507,6 +509,20 @@ def test_edge_space_documents_read_as_json_reads_them(tmp_path, capsys, monkeypa
     assert got == _outcome(capsys, ["validate", str(path)])
     # the readable ones parse, and the non-finite measures are flagged by validation
     assert got[0] == {"nan": 2, "-infinity": 2, "1e400": 2, "duplicate keys": 0, "lone surrogate": 0}.get(name, 1)
+
+
+@pytest.mark.parametrize("inequality", sorted(transport.KINDS))
+@pytest.mark.parametrize("value", [float("nan"), np.inf])
+def test_verify_refuses_a_non_finite_measure(tmp_path, capsys, inequality, value):
+    # the normalized measure is NaN at a point, so no density has a finite
+    # ratio; verify refuses it instead of reporting that the inequality fails
+    # (te) or holds with ratio 0 (ti_be), and analyze still fails validation
+    path = tmp_path / "space.json"
+    path.write_text(_p3_text(measure=[value, 2.0, 1.0]))
+    code, out, err = _outcome(capsys, ["verify", str(path), "--inequality", inequality, "--trials", "5"])
+    assert (code, out) == (1, "")
+    assert "finite normalized measure" in err
+    assert _outcome(capsys, ["analyze", str(path)])[0] == 2
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_FIELDS))

@@ -18,6 +18,7 @@ from mrws import (
 )
 from mrws.builders import lazy_cycle, two_block_halves
 
+from _oracles import invariant_blocks_scc
 from conftest import random_spaces
 
 
@@ -176,3 +177,42 @@ def test_m_connected_is_strong_connectivity(n, seed, density, split):
     sp = Space(tuple(range(n)), 1.0 - np.eye(n), K, np.ones(n))
     strong, _ = connected_components(csr_matrix(K > 0), connection="strong")
     assert is_m_connected(sp) == (strong == 1)
+
+
+def _same_blocks_as_scc(sp):
+    got = invariant_blocks(sp)
+    want = invariant_blocks_scc(sp)
+    assert got.count == is_ergodic(sp).kernel_dim == len(want)
+    assert [b.mask.tobytes() for b in got.blocks] == [m.tobytes() for m in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.0, 1.0),
+       groups=st.integers(1, 4), leak=st.floats(0.0, 0.3), empty=st.floats(0.0, 0.5), odd=st.floats(0.0, 0.2))
+@example(n=0, seed=0, density=0.0, groups=1, leak=0.0, empty=0.0, odd=0.0)
+@example(n=1, seed=0, density=0.0, groups=1, leak=0.0, empty=1.0, odd=0.0)
+def test_blocks_match_the_strong_components(n, seed, density, groups, leak, empty, odd):
+    # a random directed support, not stochastic: the points scattered over
+    # interleaved groups, a few edges leaking between groups (which opens a
+    # class), rows left empty, and NaN or negative entries, which are no edge
+    # (> 0) but still leave their class (!= 0)
+    rng = np.random.default_rng(seed)
+    group = rng.integers(0, groups, n)
+    support = (group[:, None] == group[None, :]) | (rng.random((n, n)) < leak)
+    K = (support & (rng.random((n, n)) < density)) * rng.uniform(0.5, 1.5, (n, n))
+    K[rng.random(n) < empty] = 0.0
+    K[rng.random((n, n)) < odd] = np.nan
+    K[rng.random((n, n)) < odd] = -1.0
+    _same_blocks_as_scc(Space(tuple(range(n)), 1.0 - np.eye(n), K, np.ones(n)))
+
+
+@pytest.mark.parametrize("shape", ["chain", "cycle"])
+def test_blocks_match_the_strong_components_at_700_points(shape):
+    # the longest paths the closure must square through: a chain of 700
+    # singleton classes into an absorbing end, and one 700-point cycle
+    n = 700
+    K = np.zeros((n, n))
+    K[np.arange(n), np.arange(1, n + 1) % n] = 1.0
+    if shape == "chain":
+        K[n - 1] = np.eye(n)[n - 1]
+    _same_blocks_as_scc(Space(tuple(range(n)), 1.0 - np.eye(n), K, np.ones(n)))

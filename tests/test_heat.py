@@ -342,6 +342,17 @@ def test_stationary_limit_blockwise(two_block):
     np.testing.assert_allclose(out.values[right], 0.0, atol=0)
 
 
+def test_stationary_limit_refuses_transient_points():
+    # a leaks into the absorbing points b and c, so it lies in no invariant
+    # block; its limit, 2.0 here, is no block average
+    K = np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    sp = Space(("a", "b", "c"), d, K, np.ones(3))
+    with pytest.raises(ValueError, match=r"\['a'\] lie in no invariant block"):
+        stationary_limit(sp, [5.0, 1.0, 3.0])
+    np.testing.assert_allclose(heat_evolve(sp, [5.0, 1.0, 3.0], 50.0).values, [2.0, 1.0, 3.0], atol=1e-12)
+
+
 def test_limit_agrees_with_long_evolution(rng):
     for sp in random_spaces(5, rng, n_hi=8):
         u0 = rng.standard_normal(sp.n)
