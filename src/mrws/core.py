@@ -109,8 +109,10 @@ class Space:
     @functools.cached_property
     def nu(self) -> np.ndarray:
         """Stationary measure, normalized to a probability vector; read-only,
-        computed once per space."""
-        return _readonly(self.measure / self.measure.sum())
+        computed once per space. An infinite measure gives NaN entries, and no
+        warning."""
+        with np.errstate(invalid="ignore"):
+            return _readonly(self.measure / self.measure.sum())
 
     def index(self, point) -> int:
         """Resolve a label or integer index to an index."""

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from mrws import (
     Space,
+    _linalg,
     Subset,
     cheeger,
     coarea_decompose,
@@ -29,6 +30,7 @@ from mrws.builders import (
     lazy_cycle,
     linear_chain,
     p3 as make_p3,
+    random_reversible_space,
     two_block,
     two_block_halves,
 )
@@ -425,8 +427,9 @@ def test_min_bipartition_interaction_on_two_block():
 
 
 def _scan(sp):
-    """The scan's yields, copied: it rewrites its arrays before each yield."""
-    return [(lo, cut.copy(), mass.copy()) for lo, cut, mass in geometry._bipartition_scan(sp)]
+    """The full scan's yields as (subset ids, cut, mass), copied: it rewrites
+    its arrays before each yield."""
+    return [(lo + low, cut.copy(), mass.copy()) for lo, low, cut, mass in geometry._bipartition_scan(sp)]
 
 
 def _mask(code, n):
@@ -449,8 +452,8 @@ def test_bipartition_scan_covers_every_id_once_with_exact_sums(n, monkeypatch):
         for low_bits in sorted({1, 3, 13, n - 1}):
             monkeypatch.setattr(geometry, "_LOW_BITS", low_bits)
             ids, cuts, masses = [], [], []
-            for lo, cut, mass in _scan(sp):
-                ids.extend(range(lo, lo + len(cut)))
+            for block, cut, mass in _scan(sp):
+                ids.extend(block.tolist())
                 cuts.extend(cut)
                 masses.extend(mass)
             assert ids == list(codes)  # ascending, each proper subset id once
@@ -461,24 +464,103 @@ def test_bipartition_scan_covers_every_id_once_with_exact_sums(n, monkeypatch):
 
 
 def _full_scan_cheeger(sp):
-    """Least ratio over every yield of the scan and the lowest id attaining it."""
-    best, best_id = np.inf, None
-    for lo, cut, mass in _scan(sp):
+    """Least ratio over every yield of the full scan and the lowest id
+    attaining it, and the least cut."""
+    best, best_id, least_cut = np.inf, None, np.inf
+    for lo, low, cut, mass in geometry._bipartition_scan(sp):
         ratio = cut / np.minimum(mass, 1.0 - mass)
         j = int(np.argmin(ratio))
         if ratio[j] < best:
-            best, best_id = float(ratio[j]), lo + j
-    return best, best_id
+            best, best_id = float(ratio[j]), lo + int(low[j])
+        least_cut = min(least_cut, float(cut.min()))
+    return best, best_id, least_cut
 
 
-def _counted(scan, pulled):
-    """The scan, recording the first id of each pattern it yields."""
-    def counted(space):
-        for item in scan(space):
+def _assert_pruned_is_full_scan(sp):
+    """Exact cheeger and min_bipartition_interaction, which prune, give the
+    full scan's least ratio and cut and its lowest-id witness, bit for bit."""
+    ratio, code, least_cut = _full_scan_cheeger(sp)
+    mask = _mask(code, sp.n)
+    if _normalized(sp)[mask].sum() > 0.5:
+        mask = ~mask
+    res = cheeger(sp, mode="exact")
+    assert res.upper.hex() == ratio.hex()
+    np.testing.assert_array_equal(res.witness_set.mask, mask)
+    assert min_bipartition_interaction(sp).hex() == least_cut.hex()
+
+
+def _no_eigh(space):
+    raise AssertionError("no eigendecomposition expected")
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["random", "weak link", "relabelled cycle", "relabelled lazy cycle"]),
+       n=st.integers(2, 20), seed=st.integers(0, 2**32 - 1), connected=st.booleans(),
+       low_bits=st.sampled_from([1, 3, 13, 16]))
+def test_pruned_exact_cheeger_is_the_full_scan(kind, n, seed, connected, low_bits):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        sp = random_spaces(1, rng, n_lo=n, n_hi=n, connected=connected)[0]
+    elif kind == "weak link":  # a least ratio near 1e-200, or 0 where a side is disconnected
+        m = int(rng.integers(1, n))
+        a, b = (random_spaces(1, rng, n_lo=size, n_hi=size, connected=connected)[0] for size in (m, n - m))
+        sp = _relabelled(_weakly_linked(a, b, 1e-200), seed)
+    else:  # tied half arcs in several high patterns
+        base = cycle(max(n, 3)) if kind == "relabelled cycle" else lazy_cycle(max(n, 3), 0.3)
+        sp = _relabelled(base, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_LOW_BITS", low_bits)
+        _assert_pruned_is_full_scan(sp)
+        # a NaN measure leaves no finite ratio: the same refusal, and no eigendecomposition for a seed
+        mp.setattr(_linalg, "decomposition", _no_eigh)
+        measure = np.array(sp.measure)
+        measure[int(rng.integers(sp.n))] = np.nan
+        with pytest.raises(ValueError, match="no bipartition has a finite Cheeger ratio.*non-finite"):
+            cheeger(Space(sp.labels, sp.metric, sp.kernel, measure, sp.metric_sentinel), mode="exact")
+
+
+@pytest.mark.parametrize("low_bits", [1, 3, 13])
+def test_pruned_walk_keeps_sets_that_leave_out_the_low_block(low_bits, monkeypatch):
+    # a K3 placed right after the low block, cut off from the rest, which holds
+    # points 0 and n - 1: every zero-ratio set has low pattern 0, so the bounds
+    # must not read that pattern of the first node as the empty set
+    monkeypatch.setattr(geometry, "_LOW_BITS", low_bits)
+    rest = random_spaces(1, np.random.default_rng(low_bits), n_lo=15, n_hi=15)[0]
+    u = disjoint_union(make_k3(), rest)
+    w = min(low_bits, u.n - 1)
+    order = [*range(3, 3 + w), 0, 1, 2, *range(3 + w, u.n)]  # position i holds point order[i]
+    sp = Space(tuple(range(u.n)), u.metric[np.ix_(order, order)], u.kernel[np.ix_(order, order)],
+               u.measure[order], u.metric_sentinel)
+    _assert_pruned_is_full_scan(sp)
+    res = cheeger(sp, mode="exact")
+    assert res.upper == 0.0 and res.witness_set.indices.tolist() == [w, w + 1, w + 2]
+
+
+@pytest.mark.parametrize("density", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pruned_exact_cheeger_is_the_full_scan_at_n24(density, seed):
+    _assert_pruned_is_full_scan(random_reversible_space(24, np.random.default_rng(seed), density=density))
+
+
+def _counted(scan, pulled, full=False):
+    """The scan, recording the first id of each pattern it yields; with
+    ``full`` it drops the caller's limit, so the caller runs the full walk."""
+    def counted(space, limit=None, ratio=False):
+        for item in scan(space, None if full else limit, ratio):
             pulled.append(item[0])
             yield item
 
     return counted
+
+
+# patterns the pruned walks of cheeger and min_bipartition_interaction yield on
+# each space of the test below, in turn: the sweep seeds cheeger's limit with a
+# zero ratio, while the cut-only walk starts from its first pattern's least cut
+_PRUNED_TO_FIRST_ZERO = {
+    1: [1, 4, 1, 3, 1, 2, 1, 3, 1, 3, 1, 1, 1, 4, 1, 3, 1, 5],
+    3: [1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 1, 1, 1, 3, 1, 3, 1, 3],
+    13: [1] * 20,
+}
 
 
 @pytest.mark.parametrize("low_bits", [1, 3, 13])
@@ -488,25 +570,32 @@ def test_exact_scans_stop_at_their_first_zero(low_bits, rng, monkeypatch):
     spaces += [disjoint_union(*random_spaces(2, rng, n_lo=1, n_hi=7, connected=False)) for _ in range(8)]
     if low_bits == 13:
         spaces.append(two_block(0.1))
-    full = [_full_scan_cheeger(sp) for sp in spaces]
-    pulled = []
-    monkeypatch.setattr(geometry, "_bipartition_scan", _counted(geometry._bipartition_scan, pulled))
+    full = [_full_scan_cheeger(sp)[:2] for sp in spaces]
+    scan = geometry._bipartition_scan
+    counts = []
     for sp, (ratio, code) in zip(spaces, full):
         assert ratio == 0.0
         mask = _mask(code, sp.n)
         if _normalized(sp)[mask].sum() > 0.5:
             mask = ~mask
         stop = (code >> low_bits) + 1  # patterns up to the one holding the first zero
-        pulled.clear()
-        res = cheeger(sp, mode="exact")
-        assert res.upper == res.lower == 0.0
-        np.testing.assert_array_equal(res.witness_set.mask, mask)
-        assert len(pulled) == stop
-        pulled.clear()
-        assert min_bipartition_interaction(sp) == 0.0
-        assert len(pulled) == stop  # a zero cut is a zero ratio
+        for walk in ("full", "pruned"):
+            pulled = []
+            monkeypatch.setattr(geometry, "_bipartition_scan", _counted(scan, pulled, walk == "full"))
+            res = cheeger(sp, mode="exact")
+            assert res.upper == res.lower == 0.0
+            np.testing.assert_array_equal(res.witness_set.mask, mask)
+            first = len(pulled)
+            assert min_bipartition_interaction(sp) == 0.0  # a zero cut is a zero ratio
+            for got in (pulled[:first], pulled[first:]):
+                if walk == "full":
+                    assert len(got) == stop
+                else:  # ascending, none after the first zero's pattern, and that one reached
+                    assert got == sorted(set(got)) and got[-1] >> low_bits == stop - 1
+                    counts.append(len(got))
     if low_bits == 13:  # TwoBlock, the last space: its first zero lies in the first of 2**8 patterns
         assert (sp.n, stop) == (22, 1)
+    assert counts == _PRUNED_TO_FIRST_ZERO[low_bits]
 
 
 def _weakly_linked(a, b, weight):
@@ -518,20 +607,30 @@ def _weakly_linked(a, b, weight):
     return Space(u.labels, u.metric, W / deg[:, None], deg, u.metric_sentinel)
 
 
+# patterns cheeger's and min_bipartition_interaction's pruned walks yield below
+_PRUNED_ABOVE_ZERO = {1: [1, 22], 3: [1, 8], 13: [1, 2]}
+
+
 @pytest.mark.parametrize("low_bits", [1, 3, 13])
 def test_exact_scans_run_to_the_end_above_zero(low_bits, monkeypatch):
     monkeypatch.setattr(geometry, "_LOW_BITS", low_bits)
     sp = _weakly_linked(cycle(6), cycle(9), 1e-200)  # least ratio ~1e-200, in the first pattern
-    ratio, code = _full_scan_cheeger(sp)
-    least_cut = min(float(cut.min()) for _, cut, _ in _scan(sp))
+    ratio, code, least_cut = _full_scan_cheeger(sp)
     assert 0.0 < ratio < 1e-199 and code == 2 ** 6 - 1
-    pulled = []
-    monkeypatch.setattr(geometry, "_bipartition_scan", _counted(geometry._bipartition_scan, pulled))
+    scan = geometry._bipartition_scan
     every = 2 ** max(sp.n - 1 - low_bits, 0)
-    res = cheeger(sp, mode="exact")
-    assert res.upper == ratio
-    np.testing.assert_array_equal(res.witness_set.mask, _mask(code, sp.n))
-    assert len(pulled) == every
-    pulled.clear()
-    assert min_bipartition_interaction(sp) == least_cut
-    assert len(pulled) == every
+    counts = []
+    for walk in ("full", "pruned"):
+        pulled = []
+        monkeypatch.setattr(geometry, "_bipartition_scan", _counted(scan, pulled, walk == "full"))
+        res = cheeger(sp, mode="exact")
+        assert res.upper == ratio
+        np.testing.assert_array_equal(res.witness_set.mask, _mask(code, sp.n))
+        counts.append(len(pulled))
+        pulled.clear()
+        assert min_bipartition_interaction(sp) == least_cut
+        counts.append(len(pulled))
+    # the full walk pulls every pattern. Seeded at the least ratio, cheeger's pruned
+    # walk yields only the pattern holding it; the cut-only walk yields those whose
+    # cut ties the least one found so far, 1/15 (an arc of a cycle) until the weak link
+    assert counts == [every, every] + _PRUNED_ABOVE_ZERO[low_bits]
