@@ -4,9 +4,10 @@ All decisions here are combinatorial on the support digraph {i -> j :
 kernel[i][j] > 0}; kernel entries are constructed rather than measured, so
 zero tests are exact and no epsilon thresholding is applied. Hitting levels
 are a breadth-first search. The invariant blocks come from the digraph's
-reflexive-transitive closure, O(n^3 log n) work in a few n x n float32
-products by numpy alone: slower than a linear-time strong-components search
-once n is in the hundreds, but with no graph library to import.
+reflexive-transitive closure, the end of the boolean squaring chain of
+``core._closure_chain`` that ``core.shortest_path_metric`` walks back down:
+O(n^3 log of the longest path) work in n x n float32 products: slower than a
+linear-time strong-components search once n is in the hundreds, but numpy only.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from .core import ScalarField, Space, Subset, as_mask
+from .core import ScalarField, Space, Subset, _closure_chain, as_mask
 
 __all__ = [
     "ReachabilityResult",
@@ -99,20 +100,15 @@ def invariant_blocks(space: Space) -> BlockDecomposition:
 
     For reversible kernels with full-support measure these partition the
     space and their number equals the kernel dimension of the generator.
-    The classes are read off the reflexive-transitive closure of the support:
-    (kernel > 0) | I squared as a 0/1 float32 matrix until it stops changing
-    or holds no zero, at most ceil(log2 of the longest path) + 1 products of
-    n^3 work each (the sums are exact below n = 2^24). The class of x is
+    The classes are read off the reflexive-transitive closure of the support,
+    the end of ``core._closure_chain(kernel > 0)``. The class of x is
     reach[x] & reach[:, x]; it is open when a member has a nonzero kernel
     entry outside it, and the closed ones come in the order of their least
     point. The block masks are memoized per space (a memoized Subset would
     keep its space alive); the blocks are a tuple of read-only subsets.
     """
     def compute():
-        reach, last = (space.kernel > 0) | np.eye(space.n, dtype=bool), None
-        while not (np.array_equal(reach, last) or reach.all()):  # k squarings: every path up to 2^k long
-            step = reach.astype(np.float32)
-            reach, last = step @ step > 0, reach
+        reach = _closure_chain(space.kernel > 0)[-1]
         same = reach & reach.T  # same[x] is the class of x
         leaving = ((space.kernel != 0) & ~same).any(axis=1)  # mass escapes the class
         keep = ~(same & leaving).any(axis=1) & ~np.tril(same, -1).any(axis=1)  # closed, at its least point

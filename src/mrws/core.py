@@ -410,24 +410,50 @@ def space_from_json(obj: dict) -> Space:
     return Space(labels, metric, kernel, measure, sentinel)
 
 
+def _closure_chain(adj: np.ndarray) -> list:
+    """The squaring chain of a support digraph: R_0 = adj | I and
+    R_{k+1} = (R_k R_k > 0), so R_k joins the pairs at most 2^k edges apart.
+
+    Each product is of 0/1 float32 matrices, exact below n = 2^24. The chain
+    ends at the reflexive-transitive closure, its first element with no zero
+    or equal to the next square (kept once): at most ceil(log2 of the longest
+    shortest path) + 1 products of n^3 work. ``invariant_blocks`` reads the
+    closure; ``shortest_path_metric`` walks the chain back down.
+    """
+    chain = [adj | np.eye(len(adj), dtype=bool)]
+    while not chain[-1].all():
+        step = chain[-1].astype(np.float32)
+        reach = step @ step > 0
+        if np.array_equal(reach, chain[-1]):
+            break
+        chain.append(reach)
+    return chain
+
+
 def shortest_path_metric(kernel: np.ndarray) -> tuple[np.ndarray, float | None]:
     """All-pairs unit-length shortest paths on the symmetrized support graph.
 
+    Seidel's algorithm (J. Comput. Syst. Sci. 51, 1995) down the squaring
+    chain of ``_closure_chain``, O(n^3 log diameter) work: D is 1 between the
+    distinct points of a component in the closure, and each step down, with A
+    the lower element off the diagonal, doubles D and subtracts one where
+    (D A)_ij < D_ij sum_k A_kj; inf reads 0 there, so other components stay inf.
     Unreachable pairs get a finite sentinel distance of n times the largest
     finite distance, so disconnected spaces still carry a usable matrix; the
     sentinel is reported so the triangle check can skip those entries.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
-
     n = kernel.shape[0]
-    support = (kernel > 0) | (kernel.T > 0)
-    np.fill_diagonal(support, False)
-    dist = shortest_path(csr_matrix(support, dtype=float), method="D", directed=False, unweighted=True)
+    apart = ~np.eye(n, dtype=bool)
+    chain = _closure_chain(((kernel > 0) | (kernel.T > 0)) & apart)
+    dist = np.where(chain[-1], apart, np.inf)
+    for reach in chain[-2::-1]:
+        A = (reach & apart).astype(float)
+        D = np.where(dist < np.inf, dist, 0.0)
+        dist = 2.0 * dist - (D @ A < D * A.sum(axis=0))
     finite = np.isfinite(dist)
     if finite.all():
         return dist, None
-    off = dist[finite & ~np.eye(n, dtype=bool)]
+    off = dist[finite & apart]
     dmax = float(off.max()) if off.size else 1.0
     sentinel = n * max(dmax, 1.0)
     dist = np.where(finite, dist, sentinel)

@@ -11,7 +11,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import _linalg, transport
+from . import _linalg
 from .core import ScalarField, Space, _readonly, as_values
 from .heat import heat_evolve
 from .transport import GEODESIC_RTOL, _best_first, _passes, _w1, _w1_upper
@@ -149,10 +149,10 @@ def be_best_constant(space: Space, n_param: float) -> BEResult:
 
     K(x) = +inf at a point with no neighbour, where Gamma(f)(x) = 0 for every
     f. The points are taken in groups of equal (|Y|, |Z|) (``_be_groups``),
-    each in chunks of at most ``transport._BLOCK_CELLS`` // (2 (|Y| + |Z|)^2)
-    points (at least one), as ``_be_chunk`` keeps two stacks of a chunk's
-    forms alive: a chunk's forms are built as one stack, and one stacked
-    ``eigvalsh`` gives its K(x), bit for bit what one point at a time gives.
+    each in the passes of ``_passes`` at 2 (|Y| + |Z|)^2 cells a point, as
+    ``_be_chunk`` keeps two stacks of a chunk's forms alive: a chunk's forms
+    are built as one stack, and one stacked ``eigvalsh`` gives its K(x), bit
+    for bit what one point at a time gives.
     The reduction needs a finite nonnegative kernel; any other entry
     raises ValueError. Memoized per space and float(n_param), with the groups
     and P^2 memoized once per space for every n_param.
@@ -167,10 +167,8 @@ def be_best_constant(space: Space, n_param: float) -> BEResult:
         P2, groups = _be_groups(space)
         ks = np.full(space.n, math.inf)
         for xs, J, dy in groups:
-            step = max(1, transport._BLOCK_CELLS // (2 * J.shape[1] ** 2))
-            for lo in range(0, xs.size, step):
-                ks[xs[lo:lo + step]] = _be_chunk(space.kernel, P2, xs[lo:lo + step],
-                                                 J[lo:lo + step], dy, n_param)
+            for p in _passes(xs.size, 2 * J.shape[1] ** 2):
+                ks[xs[p]] = _be_chunk(space.kernel, P2, xs[p], J[p], dy, n_param)
         return BEResult(n_param, float(ks.min(initial=math.inf)), _readonly(ks))
 
     return _linalg._memo(space, ("be", n_param), compute)
@@ -197,7 +195,7 @@ def _pair_kappas(space: Space, pairs) -> list:
     pass of ``_passes``, the passes ``_w1_upper`` runs its greedy in."""
     def solve(missing):
         out = []
-        for p in _passes(space, len(missing)):
+        for p in _passes(len(missing), space.n ** 2):
             i, j = np.array([key[1:] for key in missing[p]]).T
             w1, gap = _w1(space, space.kernel[i], space.kernel[j])
             # Python floats, so a zero distance raises ZeroDivisionError
@@ -300,7 +298,7 @@ def kappa_global(space: Space) -> float | None:
 
     def compute():
         upper = []
-        for p in _passes(space, len(pairs)):
+        for p in _passes(len(pairs), space.n ** 2):
             i, j = np.array(pairs[p], dtype=int).reshape(-1, 2).T
             bounds = _w1_upper(space, space.kernel[i], space.kernel[j]).tolist()
             # Python floats, so a zero distance raises as it does in _pair_kappas

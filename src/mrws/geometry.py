@@ -314,33 +314,26 @@ def _bipartition_scan(space: Space, limit: list | None = None, ratio: bool = Fal
 
 def _sweep(space: Space) -> tuple[float, np.ndarray]:
     """Least ratio over the prefixes of the points ordered by the second
-    eigenvector, and the smaller side of that prefix cut."""
+    eigenvector (the first among ties, 0/0 skipped), and the smaller side of
+    that prefix cut. Every prefix cut is a sum of nonnegative masses, so a
+    cut of no mass reads 0."""
     from . import _linalg
 
-    n = space.n
     lam, U, s = _linalg.decomposition(space)
-    fiedler = U[:, 1] / s
-    order = np.argsort(fiedler, kind="stable")
-    Q = _edge_mass(space)
-    q = Q.sum(axis=1)
-    nu = space.nu
-    cut = 0.0
-    mass = 0.0
-    r = np.zeros(n)
-    best = np.inf
-    best_k = 0
-    for k, idx in enumerate(order[:-1]):
-        cut = max(cut + q[idx] - Q[idx, idx] - 2.0 * r[idx], 0.0)
-        mass += nu[idx]
-        r += Q[:, idx]
-        ratio = cut / min(mass, 1.0 - mass)
-        if ratio < best:
-            best, best_k = float(ratio), k
-    mask = np.zeros(n, dtype=bool)
-    mask[order[: best_k + 1]] = True
-    if nu[mask].sum() > 0.5:
+    order = np.argsort(U[:, 1] / s, kind="stable")
+    Q = _edge_mass(space)[np.ix_(order, order)]
+    # past[i, k]: mass from point i beyond point k; a prefix's cut is past[:k + 1, k].sum()
+    past = np.cumsum(Q[:, :0:-1], axis=1)[:, ::-1]
+    cut = np.cumsum(past, axis=0).diagonal()
+    mass = np.cumsum(space.nu[order])[:-1]
+    ratio = cut / np.minimum(mass, 1.0 - mass)
+    ratio[np.isnan(ratio)] = np.inf
+    k = int(np.argmin(ratio))
+    mask = np.zeros(space.n, dtype=bool)
+    mask[order[: k + 1]] = True
+    if space.nu[mask].sum() > 0.5:
         mask = ~mask
-    return best, mask
+    return float(ratio[k]), mask
 
 
 def _descent(space: Space, mask: np.ndarray) -> np.ndarray:

@@ -54,10 +54,9 @@ GEODESIC_RTOL = 1e-12
 # Relative margin, on a scale of at least 1, by which an LP-free bound must
 # clear the running extremum before ``_best_first`` skips the LP it bounds.
 PRUNE_RTOL = 1e-9
-# Most cells in one pass over a stack of marginal pairs (``_passes``): a row
-# takes at most n^2 cells of the greedy's padded cost block (16 MB in all).
-# It also caps the two live stacks of a chunk of Bakry-Emery forms
-# (``curvature.be_best_constant``).
+# Most cells in one pass of ``_passes`` (16 MB of float64): a stacked marginal
+# pair takes at most n^2 cells of the greedy's padded cost block, a point of a
+# chunk of Bakry-Emery forms 2 d^2 in its two live stacks (``curvature``).
 _BLOCK_CELLS = 1 << 21
 
 
@@ -185,7 +184,7 @@ def _w1_upper(space: Space, A, B) -> np.ndarray:
     empty stack gives an empty array.
     """
     A, B, bound, _, rows = _routed(space, A, B)
-    for at in (rows[p] for p in _passes(space, len(rows))):
+    for at in (rows[p] for p in _passes(len(rows), space.n ** 2)):
         supply, demand = A[at], B[at]
         common = np.minimum(supply, demand)
         supply -= common
@@ -197,9 +196,9 @@ def _w1_upper(space: Space, A, B) -> np.ndarray:
     return bound
 
 
-def _passes(space: Space, rows: int) -> list:
-    """Slices of range(rows), in order, of at most _BLOCK_CELLS // n^2 rows."""
-    step = max(1, _BLOCK_CELLS // max(1, space.n ** 2))
+def _passes(rows: int, cells: int) -> list:
+    """Slices of range(rows), in order, of max(1, _BLOCK_CELLS // cells) rows."""
+    step = max(1, _BLOCK_CELLS // max(1, cells))
     return [slice(s, s + step) for s in range(0, rows, step)]
 
 

@@ -365,22 +365,49 @@ def test_analyze_deterministic_bytes(tmp_path, capsys):
     assert first == second
 
 
+def _graph_inputs(tmp_path):
+    """An edge list and a random space whose metric is graph_shortest_path."""
+    edges = tmp_path / "edges.csv"
+    edges.write_text("a,b,1\nb,c,2\nc,d,1\nd,a,0.5\nd,e,1\n")
+    doc = space_to_json(random_reversible_space(12, np.random.default_rng(3), density=0.3))
+    doc["metric"] = {"type": "graph_shortest_path"}
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(doc))
+    return str(edges), str(graph)
+
+
 def test_start_up_imports_no_scipy(tmp_path):
-    # scipy is imported inside the one function that uses it, the graph
-    # metric of a graph_shortest_path input, so no command on a grid with an
-    # explicit metric pays for its import: neither the import alone, nor the
-    # curvature, whose W1 all have the tree closed form, nor the commands that
-    # read the invariant blocks; each runs in a fresh process
+    # no command imports scipy, each in a fresh process: neither the import
+    # alone, nor the commands on a grid with an explicit metric (the
+    # curvature, whose W1 all have the tree closed form, and the commands
+    # that read the invariant blocks), nor those that compute a graph metric
     path = write_space(tmp_path, grid_kernel_neumann([(0.0, 1.0)], h=0.05, radius=0.12))
+    edges, graph = _graph_inputs(tmp_path)
     code = ("import sys, mrws.cli\n"
             "if sys.argv[1:]: assert mrws.cli.main(sys.argv[1:]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)")
     src = str(Path(__file__).resolve().parents[1] / "src")
     for argv in ([], ["curvature", path, "--be", "2,inf", "--ollivier", "edges"], ["spectral", path],
-                 ["cheeger", path], ["connect", path], ["analyze", path, "--trials", "5"]):
+                 ["cheeger", path], ["connect", path], ["analyze", path, "--trials", "5"],
+                 ["analyze", graph, "--trials", "5"], ["build", "graph", edges]):
         out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stderr.strip() == "[]", argv
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    edges, graph = _graph_inputs(tmp_path)
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import mrws.cli\n"
+            "sys.exit(mrws.cli.main(sys.argv[1:]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for argv in (["build", "graph", edges], ["validate", graph], ["analyze", graph, "--trials", "5"]):
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, (argv, out.stderr)
+        assert json.loads(out.stdout), argv
 
 
 def test_unknown_flag_exits_64(capsys):

@@ -18,7 +18,8 @@ from mrws import (
     validate_space,
 )
 from mrws.core import TOL_METRIC, _triangle_residual, shortest_path_metric
-from mrws.builders import disjoint_union, grid_kernel_neumann, random_reversible_space, two_block, two_block_halves
+from mrws.builders import (cycle, disjoint_union, grid_kernel_neumann, p3 as make_p3, random_reversible_space,
+                           two_block, two_block_halves)
 
 import _oracles
 from conftest import random_spaces
@@ -315,14 +316,40 @@ def test_graph_metric_matches_the_dense_route(rng):
     kernels = [sp.kernel for sp in random_spaces(10, rng, n_lo=1, n_hi=30)]
     kernels += [sp.kernel for sp in random_spaces(10, rng, n_lo=2, n_hi=30, connected=False)]
     kernels += [np.eye(4), np.zeros((3, 3)), two_block(0.1).kernel]  # no edge at all; two blocks
+    # long diameters, which take the most squarings: a 300-point path, cycles,
+    # a cycle beside a path; and the sizes 0 and 1
+    path = random_reversible_space(300, np.random.default_rng(1), density=0.0).kernel
+    kernels += [path, cycle(50).kernel, disjoint_union(cycle(9), make_p3()).kernel, np.zeros((0, 0)), np.ones((1, 1))]
     disconnected = 0
     for kernel in kernels:
         dist, sentinel = shortest_path_metric(kernel)
         expect, expect_sentinel = _dense_route_metric(kernel)
         np.testing.assert_array_equal(dist, expect)
-        assert sentinel == expect_sentinel
+        assert dist.dtype == np.float64 and sentinel == expect_sentinel
         disconnected += sentinel is not None
     assert disconnected >= 3
+    assert shortest_path_metric(path)[0].max() == 299.0
+    assert shortest_path_metric(np.zeros((0, 0)))[0].shape == (0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.0, 0.5),
+       isolated=st.floats(0.0, 0.5), directed=st.booleans())
+@example(n=0, seed=0, density=0.0, isolated=0.0, directed=False)
+def test_graph_metric_is_scipy_on_random_supports(n, seed, density, isolated, directed):
+    # a random support, symmetric or not (the metric reads it symmetrized),
+    # with self-loops, which are no edge, and some points cut off entirely
+    rng = np.random.default_rng(seed)
+    support = rng.random((n, n)) < density
+    if not directed:
+        support = np.triu(support) | np.triu(support).T
+    cut = rng.random(n) < isolated
+    support[cut] = support[:, cut] = False
+    support |= np.diag(rng.random(n) < 0.5)
+    kernel = support * rng.uniform(0.5, 1.5, (n, n))
+    dist, sentinel = shortest_path_metric(kernel)
+    expect, expect_sentinel = _dense_route_metric(kernel)
+    assert np.array_equal(dist, expect) and sentinel == expect_sentinel
 
 
 def test_spaces_are_immutable(p3):

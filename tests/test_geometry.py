@@ -266,6 +266,25 @@ def test_sweep_brackets_exact(rng):
         assert not sw.exact
 
 
+def test_sweep_reads_a_cut_of_no_mass_as_zero():
+    # point 9 is an invariant set: its cut has no mass, so its ratio is exactly 0
+    sp = random_reversible_space(10, np.random.default_rng(0), density=0.25, connected=False, self_loops=True)
+    sw = cheeger(sp, mode="sweep")
+    assert sw.upper == 0.0 and sw.witness_set.indices.tolist() == [9]
+    assert perimeter(sp, sw.witness_set) == 0.0
+
+
+def test_sweep_skips_a_ratio_of_zero_over_zero(monkeypatch):
+    # the heavy point first: 1 - mass of its prefix rounds to 0 and its cut is
+    # 0, so that prefix's ratio is 0/0; the sweep skips it, and reports no NaN
+    sp = Space((0, 1), 1.0 - np.eye(2), np.eye(2), np.array([1e-20, 1.0]))
+    U = np.array([[1.0, 1.0], [1.0, 0.0]])  # its second column puts point 1 first
+    monkeypatch.setattr(_linalg, "decomposition", lambda space: (np.zeros(2), U, np.ones(2)))
+    with np.errstate(invalid="ignore"):
+        best, mask = geometry._sweep(sp)
+    assert not math.isnan(best)
+
+
 def test_linear_chain_sweep_bound():
     up12 = cheeger(linear_chain(12), mode="sweep").upper
     assert up12 < 0.2
