@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _linalg
 from .core import ScalarField, Space, Subset, as_mask, as_values
+from .spectral import spectral_gap
 
 __all__ = [
     "interaction",
@@ -35,9 +37,6 @@ EXACT_ENUM_LIMIT = 24
 _LOW_BITS = 13
 # relative margin on the walk's limit: the bounds hold only up to a few ulps
 _PRUNE_SLACK = 1e-12
-# a node of the walk expands as many levels at once as fit in a block of this
-# many cells, at least one: small frames deep in a pruned walk then cost few calls
-_BLOCK_CELLS = 1 << 14
 
 
 def _edge_mass(space: Space) -> np.ndarray:
@@ -175,9 +174,10 @@ def _bipartition_scan(space: Space, limit: list | None = None, ratio: bool = Fal
     the top so that the leaves come in ascending id order, adds one of the
     two rows of its point to the partial cut of its parent: 2^(|H|+1) vector
     adds of length 2^|L| in all, after an O(2^|L| |L| n) set-up. A node
-    expands as many levels at once as fill a block of ``_BLOCK_CELLS``
-    cells, into a buffer of the depth it reaches. Every term sums
-    nonnegative masses, so an invariant set's cut is exactly zero.
+    expands as many levels at once as fill a block of 2^(|L|+1) cells, into
+    a buffer of the depth it reaches, so small frames deep in a pruned walk
+    cost few calls. Every term sums nonnegative masses, so an invariant
+    set's cut is exactly zero.
 
     ``limit`` is None, or a one-element list holding the least value found
     so far, of cut / min(mass, 1 - mass) when ``ratio`` and of the cut
@@ -242,11 +242,11 @@ def _bipartition_scan(space: Space, limit: list | None = None, ratio: bool = Fal
                 cut = cut + rows[j, (ph >> j) & 1, pl]
             cut = cut + cut_h[ph]
             mass = mass_l[pl] + mass_h[ph]
-            limit[0] = min(limit[0], float(cut / min(mass, 1.0 - mass)))
+            limit[0] = min(limit[0], float(_ratio(cut, mass, 1.0 - mass)))
     else:
         least = None
 
-    cells = max(2 << w, _BLOCK_CELLS)
+    cells = 2 << w
     # blocks[d]: the partial cuts of the nodes at depth d last expanded into; a node
     # waiting on the stack is a row of the block of its depth, which only its own
     # siblings share, and every expansion writes deeper
@@ -262,7 +262,7 @@ def _bipartition_scan(space: Space, limit: list | None = None, ratio: bool = Fal
         cut_limit = limit[0] * (1.0 + _PRUNE_SLACK) if prune else np.inf
         bounded = cut_limit < np.inf
         # expand as many levels at once as fill a block, or one while no limit is known yet
-        r = min(k - d, 1 if prune and not bounded else max(1, (cells // a).bit_length() - 1))
+        r = min(k - d, 1 if prune and not bounded else (cells // a).bit_length() - 1)
         blk = part[None]
         for i in range(r):
             nxt = blocks[d + 1 + i, : 2 * len(blk) * a].reshape(len(blk), 2, a)
@@ -312,13 +312,22 @@ def _bipartition_scan(space: Space, limit: list | None = None, ratio: bool = Fal
                 stack.append((d, h + i, (low[kept], ml[kept], fr[:l, :, kept], fl[:l, kept]), blk[i, kept]))
 
 
+def _ratio(cut, mass, rest):
+    """Cheeger ratio of a bipartition: its cut over the smaller of the two
+    sides' masses, ``mass`` of the listed side and ``rest`` of the other."""
+    return cut / np.minimum(mass, rest)
+
+
+def _smaller_side(space: Space, mask: np.ndarray) -> np.ndarray:
+    """The side of a bipartition holding at most half the mass."""
+    return ~mask if space.nu[mask].sum() > 0.5 else mask
+
+
 def _sweep(space: Space) -> tuple[float, np.ndarray]:
     """Least ratio over the prefixes of the points ordered by the second
     eigenvector (the first among ties, 0/0 skipped), and the smaller side of
     that prefix cut. Every prefix cut is a sum of nonnegative masses, so a
     cut of no mass reads 0."""
-    from . import _linalg
-
     lam, U, s = _linalg.decomposition(space)
     order = np.argsort(U[:, 1] / s, kind="stable")
     Q = _edge_mass(space)[np.ix_(order, order)]
@@ -326,14 +335,12 @@ def _sweep(space: Space) -> tuple[float, np.ndarray]:
     past = np.cumsum(Q[:, :0:-1], axis=1)[:, ::-1]
     cut = np.cumsum(past, axis=0).diagonal()
     mass = np.cumsum(space.nu[order])[:-1]
-    ratio = cut / np.minimum(mass, 1.0 - mass)
+    ratio = _ratio(cut, mass, 1.0 - mass)
     ratio[np.isnan(ratio)] = np.inf
     k = int(np.argmin(ratio))
     mask = np.zeros(space.n, dtype=bool)
     mask[order[: k + 1]] = True
-    if space.nu[mask].sum() > 0.5:
-        mask = ~mask
-    return float(ratio[k]), mask
+    return float(ratio[k]), _smaller_side(space, mask)
 
 
 def _descent(space: Space, mask: np.ndarray) -> np.ndarray:
@@ -349,26 +356,49 @@ def _descent(space: Space, mask: np.ndarray) -> np.ndarray:
         sign = 1.0 - 2.0 * s  # +1 adds the point, -1 removes it
         moved_mass = mass + sign * nu
         with np.errstate(divide="ignore", invalid="ignore"):
-            moved = (cut + sign * (q - 2.0 * into) - loop) / np.minimum(moved_mass, 1.0 - moved_mass)
+            moved = _ratio(cut + sign * (q - 2.0 * into) - loop, moved_mass, 1.0 - moved_mass)
+            now = _ratio(cut, mass, 1.0 - mass)
         moved[(moved_mass <= 0.0) | (moved_mass >= 1.0)] = np.inf
         x = int(np.argmin(moved))
-        if not moved[x] < cut / min(mass, 1.0 - mass) * (1.0 - 1e-9):
+        if not moved[x] < now * (1.0 - 1e-9):
             break
         s[x] = 1.0 - s[x]
     return s > 0.5
 
 
+def _least(space: Space, ratio: bool) -> tuple[float, int | None]:
+    """Least Cheeger ratio (``ratio``) or least cut over the proper
+    bipartitions, and the lowest subset id attaining it (None when no value
+    is below inf), by the pruned walk of ``_bipartition_scan``.
+
+    Each pattern gives its first least value, which replaces the best only
+    when strictly lower, so an earlier pattern keeps a tie, and lowers the
+    walk's limit to it. The search stops at the first value of 0: nothing is
+    lower, and a later id loses the tie.
+    """
+    best, best_id = np.inf, None
+    limit = [np.inf]
+    for lo, low, cut, mass in _bipartition_scan(space, limit, ratio):
+        value = _ratio(cut, mass, 1.0 - mass) if ratio else cut
+        j = int(np.argmin(value))
+        if value[j] < best:
+            best, best_id = float(value[j]), lo + int(low[j])
+            limit[0] = min(limit[0], best)
+            if best == 0.0:
+                break
+    return best, best_id
+
+
 def cheeger(space: Space, mode: str = "exact") -> CheegerResult:
     """Cheeger constant: least perimeter over the smaller side's mass.
 
-    ``exact`` (limited to n <= 24) runs ``_bipartition_scan`` as a branch and
-    bound: it seeds the limit from the sweep below, improved by single-point
-    moves, and lowers it to each better ratio the walk reaches, so only low
-    patterns that can still win or tie are carried down. It reports the
-    least ratio of the full enumeration, bit for bit: accurate to a few ulps,
-    exactly 0 on an invariant set, with the lowest subset id among ties as
-    the witness (its smaller side by mass). It stops at the first pattern
-    whose least ratio is 0: nothing is lower, and a later id loses the tie.
+    ``exact`` (limited to n <= 24) takes ``_least`` over the ratios: a branch
+    and bound that seeds its limit from the sweep below, improved by
+    single-point moves, and lowers it to each better ratio the walk reaches,
+    so only low patterns that can still win or tie are carried down. It
+    reports the least ratio of the full enumeration, bit for bit: accurate
+    to a few ulps, exactly 0 on an invariant set, with the lowest subset id
+    among ties as the witness (its smaller side by mass).
     ``sweep`` orders points by the second eigenvector and scans prefix cuts,
     returning an upper bound together with the gap/2 lower bound from the
     Cheeger inequality.
@@ -380,31 +410,15 @@ def cheeger(space: Space, mode: str = "exact") -> CheegerResult:
         if n > EXACT_ENUM_LIMIT:
             raise ValueError(
                 f"exact enumeration is limited to n <= {EXACT_ENUM_LIMIT}; use mode='sweep'")
-        best, best_id = np.inf, None
-        limit = [np.inf]
-        for lo, low, cut, mass in _bipartition_scan(space, limit, ratio=True):
-            ratio = 1.0 - mass
-            np.minimum(mass, ratio, out=ratio)
-            np.divide(cut, ratio, out=ratio)
-            j = int(np.argmin(ratio))  # first of the pattern's minima
-            if ratio[j] < best:  # an earlier pattern keeps a tie
-                best, best_id = float(ratio[j]), lo + int(low[j])
-                limit[0] = min(limit[0], best)
-                if best == 0.0:  # nothing is lower, and a later id loses the tie
-                    break
+        best, best_id = _least(space, ratio=True)
         if best_id is None:
             raise ValueError("no bipartition has a finite Cheeger ratio: the kernel or the measure "
                              "holds a non-finite entry")
         mask = np.array([(best_id >> i) & 1 for i in range(n)], dtype=bool)
-        if space.nu[mask].sum() > 0.5:
-            mask = ~mask
-        return CheegerResult(best, best, True, Subset(space, mask))
+        return CheegerResult(best, best, True, Subset(space, _smaller_side(space, mask)))
 
     if mode != "sweep":
         raise ValueError("mode must be 'exact' or 'sweep'")
-
-    from .spectral import spectral_gap
-
     best, mask = _sweep(space)
     lower = spectral_gap(space).gap / 2.0
     return CheegerResult(float(lower), best, False, Subset(space, mask))
@@ -413,14 +427,9 @@ def cheeger(space: Space, mode: str = "exact") -> CheegerResult:
 def min_bipartition_interaction(space: Space) -> float:
     """Exhaustive minimum of the interaction between the two sides of a
     bipartition; positive exactly when the space is connected (n <= 24).
-    The walk of ``_bipartition_scan`` is pruned by the least cut so far."""
+    ``_least`` over the cuts, its walk pruned by the least cut so far."""
     if space.n > EXACT_ENUM_LIMIT:
         raise ValueError(f"exhaustive scan is limited to n <= {EXACT_ENUM_LIMIT}")
     if space.n < 2:
         raise ValueError("needs at least two points")
-    limit = [np.inf]
-    for _, _, cut, _ in _bipartition_scan(space, limit):
-        limit[0] = min(limit[0], float(cut.min()))
-        if limit[0] == 0.0:  # no cut is lower
-            break
-    return limit[0]
+    return _least(space, ratio=False)[0]
