@@ -157,9 +157,9 @@ def _subset_bits(ids: np.ndarray, width: int) -> np.ndarray:
 
 
 def _bipartition_scan(space: Space, limit: list | None = None, ratio: bool = False):
-    """Cut mass and subset mass of every proper bipartition (point n-1 fixed
-    outside the subset), one high pattern at a time, or of every one that can
-    still beat ``limit``.
+    """Cut mass and the masses of both sides of every proper bipartition
+    (point n-1 fixed outside the subset), one high pattern at a time, or of
+    every one that can still beat ``limit``.
 
     The free points split into a low block L (the lowest ``_LOW_BITS`` of
     them) and a high block H, and a subset S into patterns b_L and b_H. The
@@ -177,15 +177,20 @@ def _bipartition_scan(space: Space, limit: list | None = None, ratio: bool = Fal
     expands as many levels at once as fill a block of 2^(|L|+1) cells, into
     a buffer of the depth it reaches, so small frames deep in a pruned walk
     cost few calls. Every term sums nonnegative masses, so an invariant
-    set's cut is exactly zero.
+    set's cut is exactly zero. Each side's mass is likewise summed from its
+    own points' measure m, b_L m_L + b_H m_H for S and (1 - b_L) m_L +
+    ((1 - b_H) m_H + m_{n-1}) for its complement, and divided once by the
+    total: a side lighter than an ulp of the total keeps its mass, and a side
+    of half the total measure has mass 1/2 exactly.
 
     ``limit`` is None, or a one-element list holding the least value found
-    so far, of cut / min(mass, 1 - mass) when ``ratio`` and of the cut
-    otherwise; the caller lowers it as it goes, and the walk prunes. Below a
-    node, a low pattern's cut is at least its partial cut plus the smaller
-    row of each free high point plus the least cut_H under the node, and its
-    min(mass, 1 - mass) at most min(hi, 1 - lo, 1/2) on the node's mass
-    interval [lo, hi] (1 for the cut alone). A pattern whose bound exceeds
+    so far, of ``_ratio`` when ``ratio`` and of the cut otherwise; the
+    caller lowers it as it goes, and the walk prunes. Below a node, a low
+    pattern's cut is at least its partial cut plus the smaller row of each
+    free high point plus the least cut_H under the node, and its smaller
+    side's mass at most that of either side with the largest high part
+    under the node, and at most 1/2 up to rounding far below
+    ``_PRUNE_SLACK`` (1 for the cut alone). A pattern whose bound exceeds
     limit * (1 + _PRUNE_SLACK) cannot win or tie, and is dropped; the
     survivors are gathered into shorter vectors when at most half remain,
     and otherwise walk on in place, dropped ones included. At a leaf the
@@ -197,7 +202,7 @@ def _bipartition_scan(space: Space, limit: list | None = None, ratio: bool = Fal
     every proper subset's mass lies in (0, 1), where the bounds hold up to
     a few ulps; a survivor's sums are the full walk's, bit for bit.
 
-    Yields (first id, low patterns, cut, mass) for each high pattern
+    Yields (first id, low patterns, cut, mass, rest) for each high pattern
     reached, in ascending order, the subset id of entry i being first id +
     low[i]; without a limit every pattern is reached. The empty set is
     skipped. The arrays are reused: the scan rewrites them before its next
@@ -208,31 +213,35 @@ def _bipartition_scan(space: Space, limit: list | None = None, ratio: bool = Fal
     nu = space.nu
     w = min(_LOW_BITS, n - 1)
     k = n - 1 - w
-    L, H = np.arange(w), np.arange(w, n - 1)
+    L, H = slice(0, w), slice(w, n - 1)
     bl = _subset_bits(np.arange(1 << w, dtype=np.uint64), w)
     bh = _subset_bits(np.arange(1 << k, dtype=np.uint64), k)
-    cut_h = np.einsum("mi,mi->m", bh @ Q[np.ix_(H, H)], 1.0 - bh) + bh @ Q[H, n - 1]
-    mass_l, mass_h = bl @ nu[L], bh @ nu[H]
+    cut_h = np.einsum("mi,mi->m", bh @ Q[H, H], 1.0 - bh) + bh @ Q[H, n - 1]
+    m, total = space.measure, space.measure.sum()
+    mass_l, mass_h = bl @ m[L], bh @ m[H]
+    # the complement of pattern i within its block is pattern 2^|block| - 1 - i
+    rest_l, rest_h = mass_l[::-1], mass_h[::-1] + m[n - 1]
     # rows[j, 0]: mass from S_L to H[j], outside S; rows[j, 1]: from H[j], in S, to L minus S_L
     rows = np.empty((k, 2, 1 << w))
-    rows[:, 0] = Q[np.ix_(L, H)].T @ bl.T
-    rows[:, 1] = Q[np.ix_(H, L)] @ (1.0 - bl).T
-    part = np.einsum("mi,mi->m", bl @ Q[np.ix_(L, L)], 1.0 - bl) + bl @ Q[L, n - 1]
+    rows[:, 0] = Q[L, H].T @ bl.T
+    not_bl = 1.0 - bl
+    rows[:, 1] = Q[H, L] @ not_bl.T
+    part = np.einsum("mi,mi->m", bl @ Q[L, L], not_bl) + bl @ Q[L, n - 1]
 
     prune = (limit is not None and k > 0 and np.isfinite(Q).all() and Q.min() >= 0.0
-             and nu.min() > 0.0 and mass_l.max() + mass_h.max() < 1.0)
+             and nu.min() > 0.0 and mass_l.max() + mass_h.max() < total)
     if prune:
         # least[l]: the smaller rows of the l lowest points of H, summed
         least = np.zeros((k, 1 << w))
         for j in range(1, k):
             np.add(least[j - 1], np.minimum(rows[j - 1, 0], rows[j - 1, 1]), out=least[j])
-        # per depth d, per node (its d high bits): least cut_H and mass range below it
-        cmin, hmin, hmax = [cut_h], [mass_h], [mass_h]
+        # per depth d, per node (its d high bits): least cut_H and largest high part of each side below it
+        cmin, hmax, rmax = [cut_h], [mass_h], [rest_h]
         for _ in range(k):
             cmin.append(cmin[-1].reshape(-1, 2).min(axis=1))
-            hmin.append(hmin[-1].reshape(-1, 2).min(axis=1))
             hmax.append(hmax[-1].reshape(-1, 2).max(axis=1))
-        cmin, hmin, hmax = ([v[:, None] for v in reversed(x)] for x in (cmin, hmin, hmax))
+            rmax.append(rmax[-1].reshape(-1, 2).max(axis=1))
+        cmin, hmax, rmax = ([v[:, None] for v in reversed(x)] for x in (cmin, hmax, rmax))
         if ratio:
             side = _descent(space, _sweep(space)[1])
             seed = sum(1 << int(i) for i in np.flatnonzero(~side if side[-1] else side))
@@ -241,8 +250,8 @@ def _bipartition_scan(space: Space, limit: list | None = None, ratio: bool = Fal
             for j in range(k - 1, -1, -1):  # the walk's own order, so the seed is a leaf value
                 cut = cut + rows[j, (ph >> j) & 1, pl]
             cut = cut + cut_h[ph]
-            mass = mass_l[pl] + mass_h[ph]
-            limit[0] = min(limit[0], float(_ratio(cut, mass, 1.0 - mass)))
+            mass, rest = (mass_l[pl] + mass_h[ph]) / total, (rest_l[pl] + rest_h[ph]) / total
+            limit[0] = min(limit[0], float(_ratio(cut, mass, rest)))
     else:
         least = None
 
@@ -253,11 +262,12 @@ def _bipartition_scan(space: Space, limit: list | None = None, ratio: bool = Fal
     blocks = np.empty((k + 1, cells))
     spare = np.empty((3, cells))
     drop = np.empty(cells, bool)
-    # a node: (depth, its high bits, its frame (low patterns, their masses, rows, least), partial cut)
-    stack = [(0, 0, (np.arange(1 << w), mass_l, rows, least), part)]
+    # a node: (depth, its high bits, its frame (low patterns, low parts of both sides' masses,
+    # rows, least), partial cut)
+    stack = [(0, 0, (np.arange(1 << w), mass_l, rest_l, rows, least), part)]
     while stack:
         d, h, frame, part = stack.pop()
-        low, ml, fr, fl = frame
+        low, ml, rl, fr, fl = frame
         a = len(low)
         cut_limit = limit[0] * (1.0 + _PRUNE_SLACK) if prune else np.inf
         bounded = cut_limit < np.inf
@@ -274,19 +284,19 @@ def _bipartition_scan(space: Space, limit: list | None = None, ratio: bool = Fal
         if d == k:  # leaves: the high patterns h, ..., h + rb - 1
             blk += cut_h[h: h + rb, None]
             cut = blk
-            hi = lo = mass = np.add(ml, mass_h[h: h + rb, None], out=s0)
+            mass = np.add(ml, mass_h[h: h + rb, None], out=s0)
+            rest = np.add(rl, rest_h[h: h + rb, None], out=s1)
         elif bounded:
             cut = np.add(blk, fl[l], out=s0)
             cut += cmin[d][h: h + rb]
-            if ratio:
-                hi = np.add(ml, hmax[d][h: h + rb], out=s1)
-                lo = np.add(ml, hmin[d][h: h + rb], out=s2)
+            if ratio:  # each side's largest measure under the node
+                mass = np.add(ml, hmax[d][h: h + rb], out=s1)
+                rest = np.add(rl, rmax[d][h: h + rb], out=s2)
         if bounded:
-            if ratio:
-                den = np.subtract(1.0, lo, out=s2)
-                np.minimum(hi, den, out=den)
-                np.minimum(den, 0.5, out=den)
-                den *= cut_limit
+            if ratio:  # a leaf's own smaller side; by monotone rounding, at least each one's below a node
+                den = np.minimum(mass, rest, out=s2)
+                np.minimum(den, (0.5 + 0.5 * _PRUNE_SLACK) * total, out=den)  # half the total, up to rounding
+                den *= cut_limit / total
                 cut_limit = den
             keep = np.greater(cut, cut_limit, out=drop[: rb * a].reshape(rb, a))
             np.logical_not(keep, out=keep)  # a NaN bound never prunes
@@ -300,16 +310,17 @@ def _bipartition_scan(space: Space, limit: list | None = None, ratio: bool = Fal
             for i in reached:
                 if h + i == 0 and low[0] == 0:  # skip the empty set
                     if a > 1:
-                        yield 0, low[1:], cut[0, 1:], mass[0, 1:]
+                        yield 0, low[1:], cut[0, 1:], mass[0, 1:] / total, rest[0, 1:] / total
                 else:
-                    yield (h + i) << w, low, cut[i], mass[i]
+                    yield (h + i) << w, low, cut[i], mass[i] / total, rest[i] / total
             continue
         for i in reversed(reached):  # the lowest node is popped first
             if not bounded or 2 * alive[i] > a:
                 stack.append((d, h + i, frame, blk[i]))
             else:
                 kept = np.flatnonzero(keep[i])
-                stack.append((d, h + i, (low[kept], ml[kept], fr[:l, :, kept], fl[:l, kept]), blk[i, kept]))
+                stack.append((d, h + i, (low[kept], ml[kept], rl[kept], fr[:l, :, kept], fl[:l, kept]),
+                              blk[i, kept]))
 
 
 def _ratio(cut, mass, rest):
@@ -334,8 +345,9 @@ def _sweep(space: Space) -> tuple[float, np.ndarray]:
     # past[i, k]: mass from point i beyond point k; a prefix's cut is past[:k + 1, k].sum()
     past = np.cumsum(Q[:, :0:-1], axis=1)[:, ::-1]
     cut = np.cumsum(past, axis=0).diagonal()
-    mass = np.cumsum(space.nu[order])[:-1]
-    ratio = _ratio(cut, mass, 1.0 - mass)
+    m, total = space.measure[order], space.measure.sum()
+    # each side's mass from its own points' measure: a prefix's, and the rest's as a suffix sum
+    ratio = _ratio(cut, np.cumsum(m)[:-1] / total, np.cumsum(m[::-1])[-2::-1] / total)
     ratio[np.isnan(ratio)] = np.inf
     k = int(np.argmin(ratio))
     mask = np.zeros(space.n, dtype=bool)
@@ -378,8 +390,8 @@ def _least(space: Space, ratio: bool) -> tuple[float, int | None]:
     """
     best, best_id = np.inf, None
     limit = [np.inf]
-    for lo, low, cut, mass in _bipartition_scan(space, limit, ratio):
-        value = _ratio(cut, mass, 1.0 - mass) if ratio else cut
+    for lo, low, cut, mass, rest in _bipartition_scan(space, limit, ratio):
+        value = _ratio(cut, mass, rest) if ratio else cut
         j = int(np.argmin(value))
         if value[j] < best:
             best, best_id = float(value[j]), lo + int(low[j])

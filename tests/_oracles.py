@@ -291,6 +291,19 @@ def cheeger_bruteforce(space):
     return best
 
 
+def cheeger_fsum(space):
+    """Cheeger constant by iterating subsets one by one (n small), each cut
+    and each side's mass summed exactly (math.fsum) from its own terms, so a
+    side lighter than an ulp of the total keeps its mass."""
+    n = space.n
+    nu = space.measure / space.measure.sum()
+    best = math.inf
+    for code in range(1, 2 ** (n - 1)):
+        mask = np.array([(code >> i) & 1 for i in range(n)], dtype=bool)
+        best = min(best, perimeter_loops(space, mask) / min(math.fsum(nu[mask]), math.fsum(nu[~mask])))
+    return best
+
+
 def rk4_stepwise(P, u0, t):
     """Classical RK4 for du/dt = (P - I) u, one k1..k4 stage at a time, with
     the library's step rule (at least 10 steps, none longer than 0.005)."""

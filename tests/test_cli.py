@@ -124,6 +124,29 @@ def test_cheeger_exact_prints_the_scan_ratio(tmp_path, capsys):
     assert '"upper":0.16666666666666666' in capsys.readouterr().out
 
 
+def test_cheeger_keeps_the_mass_of_a_light_side(tmp_path, capsys):
+    # point a, last, weighs 5e-21 of the total, so the walk lists {b, c}, whose
+    # 1 - mass rounds to 0; an fsum over the six bipartitions gives h at {a}.
+    # RuntimeWarnings are errors here, so no division by zero may happen
+    edges = tmp_path / "edges.csv"
+    edges.write_text("b,c,1\nb,a,1e-30\na,a,1e-20\n")
+    code, obj = run(capsys, ["build", "graph", str(edges)])
+    path = tmp_path / "light.json"
+    path.write_text(json.dumps(obj))
+    assert run(capsys, ["validate", str(path)])[1]["ok"]
+    h = 9.999999999000001e-11
+    for flag in ("--exact", "--sweep"):
+        code, obj = run(capsys, ["cheeger", str(path), flag])
+        assert code == 0 and abs(obj["upper"] - h) <= 1e-12 * h and obj["witness"] == [2]
+    code, obj = run(capsys, ["analyze", str(path), "--trials", "5"])  # its h^2/2 <= gap check holds
+    assert code == 0 and abs(obj["cheeger"]["upper"] - h) <= 1e-12 * h
+    # a light point with no link, first or last: its side's ratio is 0
+    for measure, flag in (([1.0, 1e-20], "--exact"), ([1e-20, 1.0], "--sweep")):
+        path = write_space(tmp_path, Space((0, 1), 1.0 - np.eye(2), np.eye(2), np.array(measure)))
+        code, obj = run(capsys, ["cheeger", path, flag])
+        assert code == 0 and obj["upper"] == 0.0
+
+
 def test_geometry_output(tmp_path, capsys):
     path = write_space(tmp_path, make_p3())
     code, obj = run(capsys, ["geometry", path, "--set", "0"])

@@ -9,11 +9,13 @@ from hypothesis.extra.numpy import arrays
 
 from mrws import (
     Space,
+    WeightedGraph,
     _linalg,
     Subset,
     cheeger,
     coarea_decompose,
     dirichlet_energy,
+    from_weighted_graph,
     geometry,
     interaction,
     mean_curvature,
@@ -22,6 +24,7 @@ from mrws import (
     perimeter,
     spectral_gap,
     total_variation,
+    validate_space,
 )
 from mrws.builders import (
     cycle,
@@ -275,14 +278,67 @@ def test_sweep_reads_a_cut_of_no_mass_as_zero():
 
 
 def test_sweep_skips_a_ratio_of_zero_over_zero(monkeypatch):
-    # the heavy point first: 1 - mass of its prefix rounds to 0 and its cut is
-    # 0, so that prefix's ratio is 0/0; the sweep skips it, and reports no NaN
+    # the heavy point first: its prefix's cut is 0, and the rest, the light
+    # point, keeps its own mass 1e-20 (as 1 - mass it would round to 0 and
+    # make the ratio 0/0), so that prefix's ratio is exactly 0
     sp = Space((0, 1), 1.0 - np.eye(2), np.eye(2), np.array([1e-20, 1.0]))
     U = np.array([[1.0, 1.0], [1.0, 0.0]])  # its second column puts point 1 first
     monkeypatch.setattr(_linalg, "decomposition", lambda space: (np.zeros(2), U, np.ones(2)))
     with np.errstate(invalid="ignore"):
         best, mask = geometry._sweep(sp)
     assert not math.isnan(best)
+    assert best == 0.0 and mask.tolist() == [True, False]
+
+
+def _light_point_space():
+    """The walk of the edges b-c (1), b-a (1e-30) and the loop a-a (1e-20):
+    point a, last, weighs 5e-21 of the total, so the walk lists its
+    complement {b, c}, whose 1 - mass rounds to 0."""
+    g = WeightedGraph(("b", "c", "a"), (("b", "c", 1.0), ("b", "a", 1e-30), ("a", "a", 1e-20)))
+    return from_weighted_graph(g)
+
+
+def test_each_side_keeps_its_own_mass():
+    sp = _light_point_space()
+    assert validate_space(sp).ok
+    h = _oracles.cheeger_fsum(sp)
+    assert h == 9.999999999000001e-11  # attained by {a}
+    for mode in ("exact", "sweep"):
+        res = cheeger(sp, mode=mode)
+        assert abs(res.upper - h) <= 1e-12 * h
+        assert res.witness_set.indices.tolist() == [2]
+    # a light point with no link: the ratio of its side is 0, whichever side the walk lists
+    for measure in ([1.0, 1e-20], [1e-20, 1.0]):
+        sp = Space((0, 1), 1.0 - np.eye(2), np.eye(2), np.array(measure))
+        assert cheeger(sp, mode="exact").upper == 0.0
+        assert cheeger(sp, mode="sweep").upper == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), connected=st.booleans(),
+       link=st.integers(0, 12), low_bits=st.sampled_from([1, 3, 13]))
+def test_exact_cheeger_with_a_light_point_matches_fsum(n, seed, connected, link, low_bits):
+    # one point's weights scaled by 1e-18, its links by a further 10**-link, so
+    # that its own side often holds the least ratio, and its mass is below an
+    # ulp of the total
+    rng = np.random.default_rng(seed)
+    base = random_spaces(1, rng, n_lo=n, n_hi=n, connected=connected)[0]
+    W = base.nu[:, None] * base.kernel
+    x = int(rng.integers(n))
+    loop = 1e-18 * W[x].sum()
+    W[x] *= 1e-18 * 10.0 ** -link
+    W[:, x] *= 1e-18 * 10.0 ** -link
+    W[x, x] = loop
+    deg = W.sum(axis=1)
+    sp = Space(base.labels, base.metric, W / deg[:, None], deg, base.metric_sentinel)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_LOW_BITS", low_bits)
+        res = cheeger(sp, mode="exact")
+    h = _oracles.cheeger_fsum(sp)
+    assert abs(res.upper - h) <= 1e-12 * h
+    mask, nu = res.witness_set.mask, sp.nu
+    witness = _oracles.perimeter_loops(sp, mask) / min(math.fsum(nu[mask]), math.fsum(nu[~mask]))
+    assert abs(witness - h) <= 1e-12 * h
 
 
 def test_linear_chain_sweep_bound():
@@ -446,9 +502,10 @@ def test_min_bipartition_interaction_on_two_block():
 
 
 def _scan(sp):
-    """The full scan's yields as (subset ids, cut, mass), copied: it rewrites
-    its arrays before each yield."""
-    return [(lo + low, cut.copy(), mass.copy()) for lo, low, cut, mass in geometry._bipartition_scan(sp)]
+    """The full scan's yields as (subset ids, cut, mass, rest), copied: it
+    rewrites its arrays before each yield."""
+    return [(lo + low, cut.copy(), mass.copy(), rest.copy())
+            for lo, low, cut, mass, rest in geometry._bipartition_scan(sp)]
 
 
 def _mask(code, n):
@@ -468,17 +525,19 @@ def test_bipartition_scan_covers_every_id_once_with_exact_sums(n, monkeypatch):
         codes = range(1, 2 ** (n - 1))
         ref_cut = [_oracles.perimeter_loops(sp, _mask(c, n)) for c in codes]
         ref_mass = [math.fsum(nu[_mask(c, n)]) for c in codes]
+        ref_rest = [math.fsum(nu[~_mask(c, n)]) for c in codes]
         for low_bits in sorted({1, 3, 13, n - 1}):
             monkeypatch.setattr(geometry, "_LOW_BITS", low_bits)
-            ids, cuts, masses = [], [], []
-            for block, cut, mass in _scan(sp):
+            ids, cuts, masses, rests = [], [], [], []
+            for block, cut, mass, rest in _scan(sp):
                 ids.extend(block.tolist())
                 cuts.extend(cut)
                 masses.extend(mass)
+                rests.extend(rest)
             assert ids == list(codes)  # ascending, each proper subset id once
             for got, want in zip(cuts, ref_cut):
                 assert abs(got - want) <= 4 * n * eps * want  # exactly 0 where the cut is
-            for got, want in zip(masses, ref_mass):
+            for got, want in zip(masses + rests, ref_mass + ref_rest):  # each side from its own points
                 assert abs(got - want) <= 4 * n * eps * want
 
 
@@ -486,8 +545,8 @@ def _full_scan_cheeger(sp):
     """Least ratio over every yield of the full scan and the lowest id
     attaining it, and the least cut."""
     best, best_id, least_cut = np.inf, None, np.inf
-    for lo, low, cut, mass in geometry._bipartition_scan(sp):
-        ratio = cut / np.minimum(mass, 1.0 - mass)
+    for lo, low, cut, mass, rest in geometry._bipartition_scan(sp):
+        ratio = cut / np.minimum(mass, rest)
         j = int(np.argmin(ratio))
         if ratio[j] < best:
             best, best_id = float(ratio[j]), lo + int(low[j])
