@@ -114,10 +114,12 @@ def _load_field(space, path) -> ScalarField:
 
 
 def _parse_index_set(space, text):
-    """Point indices of a comma-separated list. A token names the point whose
-    label prints as it, and is a position only when no label does; a token
-    that is one point's label and another point's position is refused."""
-    out = []
+    """Boolean mask of the points of a comma-separated list, so that a
+    resolved position is never read again as a label. A token names the
+    point whose label prints as it, and is a position only when no label
+    does; a token that is one point's label and another point's position is
+    refused."""
+    mask = np.zeros(space.n, dtype=bool)
     for tok in filter(None, (t.strip() for t in text.split(","))):
         pos = int(tok) if tok.lstrip("-").isdigit() else None
         named = [i for i, lab in enumerate(space.labels) if str(lab) == tok]
@@ -126,8 +128,8 @@ def _parse_index_set(space, text):
         if len(named) > 1:
             a, b = (f"point {i} (label {space.labels[i]!r})" for i in named[:2])
             raise StructuralError(f"point {tok!r} is ambiguous: it names {a} and {b}")
-        out.append(named[0] if named else space.index(tok if pos is None else pos))
-    return out
+        mask[named[0] if named else space.index(tok if pos is None else pos)] = True
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +209,8 @@ def _cmd_cheeger(args) -> int:
 def _cmd_geometry(args) -> int:
     space = _load_space(args.space)
     subset = _parse_index_set(space, args.set)
-    per = geometry.perimeter(space, subset)
-    comp = [i for i in range(space.n) if i not in set(subset)]
-    inter = geometry.interaction(space, subset, comp) if comp else 0.0
-    _emit({"perimeter": per, "interaction_complement": inter,
+    per = geometry.perimeter(space, subset)  # the interaction with the complement
+    _emit({"perimeter": per, "interaction_complement": per,
            "mean_curvature": geometry.mean_curvature(space, subset).values.tolist()})
     return EXIT_OK
 

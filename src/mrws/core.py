@@ -54,6 +54,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_int(x) -> bool:
+    """An integer, Python or numpy, but not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class Space:
     """Immutable finite metric random walk space.
@@ -114,17 +119,32 @@ class Space:
         with np.errstate(invalid="ignore"):
             return _readonly(self.measure / self.measure.sum())
 
+    @functools.cached_property
+    def _int_labels(self) -> dict:
+        """Position of each integer label, built at the first lookup by integer."""
+        return {int(lab): i for i, lab in enumerate(self.labels) if _is_int(lab)}
+
     def index(self, point) -> int:
-        """Resolve a label or integer index to an index."""
-        if isinstance(point, (int, np.integer)):
-            i = int(point)
+        """Resolve a point to its position. A label equal to the point names
+        it. An integer (Python or numpy, not a bool) is compared only with
+        integer labels, and is a position only when no integer label equals
+        it; an integer that is one point's label and another point's
+        position is refused."""
+        if not _is_int(point):
+            try:
+                return self.labels.index(point)
+            except ValueError:
+                raise StructuralError(f"unknown point {point!r}") from None
+        i = int(point)
+        named = self._int_labels.get(i)
+        if named is None:
             if not 0 <= i < self.n:
                 raise StructuralError(f"point index {i} out of range")
             return i
-        try:
-            return self.labels.index(point)
-        except ValueError:
-            raise StructuralError(f"unknown point {point!r}") from None
+        if named != i and 0 <= i < self.n:
+            a, b = (f"point {j} (label {self.labels[j]!r})" for j in (named, i))
+            raise StructuralError(f"point {i!r} is ambiguous: it names {a} and {b}")
+        return named
 
 
 @dataclass(frozen=True, eq=False)

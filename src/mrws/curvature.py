@@ -239,8 +239,8 @@ def ollivier_global(space: Space, policy: str = "all_pairs") -> OllivierResult:
                          "use policy='support_edges'")
 
     def compute():
-        adj = (space.kernel > 0) | (space.kernel.T > 0)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if policy == "all_pairs" or adj[i, j]]
+        family = np.ones((n, n), bool) if policy == "all_pairs" else (space.kernel > 0) | (space.kernel.T > 0)
+        pairs = list(zip(*(ix.tolist() for ix in np.nonzero(np.triu(family, 1)))))  # row-major, i < j
         solved = _pair_kappas(space, pairs)
         kappa_pairs = {ij: kappa for ij, (kappa, _) in zip(pairs, solved)}
         return OllivierResult(MappingProxyType(kappa_pairs),

@@ -183,6 +183,24 @@ def test_set_with_string_labels(tmp_path, capsys):
     assert run(capsys, ["geometry", path, "--set", "3"])[0] == 1
 
 
+def test_set_on_permuted_integer_labels(tmp_path, capsys):
+    c5 = cycle(5)
+    sp = Space((5, 0, 7, 9, 6), c5.metric, c5.kernel, c5.measure)
+    path = write_space(tmp_path, sp)
+    # "5" resolves to position 0, which is also the label of position 1: the
+    # CLI passes the position on as a mask, never as an integer to read again
+    for text, mask in (("5", [1, 0, 0, 0, 0]), ("5,9", [1, 0, 0, 1, 0]), ("7,6,9", [0, 0, 1, 1, 1])):
+        mask = np.array(mask, dtype=bool)
+        code, obj = run(capsys, ["geometry", path, "--set", text])
+        assert code == 0
+        assert obj["perimeter"] == obj["interaction_complement"] == geometry.perimeter(sp, mask)
+        assert obj["mean_curvature"] == geometry.mean_curvature(sp, mask).values.tolist()
+    code, obj = run(capsys, ["connect", path, "--set", "9,6"])
+    assert code == 0 and obj["first_hit"] == [1, 2, 1, 1, 1]
+    assert main(["geometry", path, "--set", "0"]) == 1  # label of position 1, and position 0
+    assert "ambiguous" in capsys.readouterr().err
+
+
 def test_set_on_a_grid_is_still_a_position(tmp_path, capsys):
     grid = grid_kernel_neumann([(0, 1)], h=0.25, radius=0.3)  # labels 0.0, 0.25, ...
     path = write_space(tmp_path, grid)

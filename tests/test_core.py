@@ -50,6 +50,41 @@ def test_dimension_mismatch_is_structural():
         Space(("a", "b"), np.zeros((3, 3)), np.eye(2), np.ones(2))
 
 
+def _relabelled_p3(labels):
+    p3 = make_p3()
+    return Space(tuple(labels), p3.metric, p3.kernel, p3.measure)
+
+
+def test_an_integer_is_a_label_before_a_position():
+    sp = _relabelled_p3((1, 0, 2))
+    assert sp.index(2) == 2  # the label and the position name one point
+    # 0 is the label of position 1 and position 0 itself, the point labelled 1
+    with pytest.raises(StructuralError, match=r"ambiguous: it names point 1 \(label 0\) and point 0 \(label 1\)"):
+        sp.index(0)
+    with pytest.raises(StructuralError, match="ambiguous"):
+        Subset.from_indices(sp, [0])
+    sp = _relabelled_p3((10, 20, 30))
+    assert [sp.index(p) for p in (20, 1, np.int64(30), np.int32(0))] == [1, 1, 2, 0]
+    assert Subset.from_indices(sp, [20, 0]).mask.tolist() == [True, True, False]
+    with pytest.raises(StructuralError, match="out of range"):
+        sp.index(3)
+    sp = _relabelled_p3(np.array([5, 0, 7]))  # numpy integer labels
+    assert [sp.index(5), sp.index(np.int64(7)), sp.index(2), sp.index(1)] == [0, 2, 2, 1]
+    with pytest.raises(StructuralError, match="ambiguous"):
+        sp.index(0)
+    sp = _relabelled_p3(("a", "b", "c"))
+    assert [sp.index("b"), sp.index(1), sp.index(np.int64(2))] == [1, 1, 2]
+    for bad in ("d", True):  # a bool is not a position
+        with pytest.raises(StructuralError, match="unknown point"):
+            sp.index(bad)
+
+
+def test_an_integer_on_a_grid_is_a_position():
+    grid = grid_kernel_neumann([(0, 1)], h=0.25, radius=0.3)  # labels 0.0, 0.25, ..., 1.0
+    assert grid.index(1) == 1  # the float label 1.0 never captures position 1
+    assert grid.index(1.0) == 4
+
+
 def test_duplicate_labels_are_structural(p3):
     with pytest.raises(StructuralError, match="distinct"):
         Space(("a", "a", "c"), p3.metric, p3.kernel, p3.measure)
