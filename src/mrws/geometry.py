@@ -224,9 +224,8 @@ def _bipartition_scan(space: Space, limit: list | None = None, ratio: bool = Fal
     # rows[j, 0]: mass from S_L to H[j], outside S; rows[j, 1]: from H[j], in S, to L minus S_L
     rows = np.empty((k, 2, 1 << w))
     rows[:, 0] = Q[L, H].T @ bl.T
-    not_bl = 1.0 - bl
-    rows[:, 1] = Q[H, L] @ not_bl.T
-    part = np.einsum("mi,mi->m", bl @ Q[L, L], not_bl) + bl @ Q[L, n - 1]
+    rows[:, 1] = Q[H, L] @ (1.0 - bl).T
+    part = np.einsum("mi,mi->m", bl @ Q[L, L], 1.0 - bl) + bl @ Q[L, n - 1]
 
     prune = (limit is not None and k > 0 and np.isfinite(Q).all() and Q.min() >= 0.0
              and nu.min() > 0.0 and mass_l.max() + mass_h.max() < total)
@@ -249,9 +248,8 @@ def _bipartition_scan(space: Space, limit: list | None = None, ratio: bool = Fal
             cut = part[pl]
             for j in range(k - 1, -1, -1):  # the walk's own order, so the seed is a leaf value
                 cut = cut + rows[j, (ph >> j) & 1, pl]
-            cut = cut + cut_h[ph]
             mass, rest = (mass_l[pl] + mass_h[ph]) / total, (rest_l[pl] + rest_h[ph]) / total
-            limit[0] = min(limit[0], float(_ratio(cut, mass, rest)))
+            limit[0] = min(limit[0], float(_ratio(cut + cut_h[ph], mass, rest)))
     else:
         least = None
 
@@ -370,7 +368,8 @@ def _descent(space: Space, mask: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             moved = _ratio(cut + sign * (q - 2.0 * into) - loop, moved_mass, 1.0 - moved_mass)
             now = _ratio(cut, mass, 1.0 - mass)
-        moved[(moved_mass <= 0.0) | (moved_mass >= 1.0)] = np.inf
+        # no move may leave a side empty: beside a light point, the whole space's mass can round below 1
+        moved[(moved_mass <= 0.0) | (moved_mass >= 1.0) | (s.sum() + sign == space.n)] = np.inf
         x = int(np.argmin(moved))
         if not moved[x] < now * (1.0 - 1e-9):
             break
