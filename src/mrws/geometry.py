@@ -205,8 +205,8 @@ def _bipartition_scan(space: Space, limit: list | None = None, ratio: bool = Fal
     Yields (first id, low patterns, cut, mass, rest) for each high pattern
     reached, in ascending order, the subset id of entry i being first id +
     low[i]; without a limit every pattern is reached. The empty set is
-    skipped. The arrays are reused: the scan rewrites them before its next
-    yield, so copy them to keep them.
+    skipped. The low and cut arrays are reused: the scan rewrites them
+    before its next yield, so copy them to keep them.
     """
     n = space.n
     Q = _edge_mass(space)
