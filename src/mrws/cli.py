@@ -370,7 +370,10 @@ def _build_parser() -> _Parser:
     h.add_argument("--init", required=True)
     h.add_argument("--t", type=float, default=1.0)
     h.add_argument("--method", choices=("series", "spectral", "rk4"), default="series")
-    h.add_argument("--tol", type=float, default=1e-12)
+    h.add_argument("--tol", type=float, default=1e-12,
+                   help="sup-norm error budget: the series truncation and, past t = 512 under every "
+                        "method, the distance to the stationary limit once a decay certificate "
+                        "puts the flow within it")
     h.add_argument("--grid", default=None)
     h.set_defaults(fn=_cmd_heat)
 

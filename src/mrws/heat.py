@@ -15,6 +15,16 @@ time starts from the same terms P^k u0, which are computed once for the grid.
 The rk4 times powered with the same step length share one R, built once, and
 one chain of its squarings. Each state is bit-identical to evolving its time
 alone.
+
+Past SERIES_STEP the flow has often settled. Before any route runs, the times
+past it are checked against the paper's exponential decay: a spectral gap of
+at least g puts the state at time t within e^{-g t} |u0 - nu(u0)|_{L^2(nu)},
+read in the sup norm, of the nu-average. One Cholesky factorization proves
+the gap that brings this, with the kernel's own row-sum and invariance
+residuals, within tol at the least such time; then every time past
+SERIES_STEP gets the nu-average, under every method, with the bits of
+stationary_limit. Where the proof fails (slow mixing, several invariant
+blocks, a measure that is not invariant) each route runs as before.
 """
 
 from __future__ import annotations
@@ -49,9 +59,12 @@ def apply_laplacian(space: Space, f) -> ScalarField:
 def heat_evolve(space: Space, u0, t: float, method: str = "series", tol: float = 1e-12) -> ScalarField:
     """Evolve u0 for time t under the heat semigroup.
 
-    ``tol`` bounds the series truncation error (sup norm); the other two
-    methods ignore it. The series keeps exact zeros across kernel-disconnected
-    blocks, which the spectral route cannot guarantee at roundoff level.
+    ``tol`` bounds, in the sup norm, the series truncation error and, at
+    times past SERIES_STEP under every method, the distance of the exact flow
+    to the nu-average that replaces the state once a decay certificate holds.
+    Rounding in the series and in the average is not part of it. The series
+    keeps exact zeros across kernel-disconnected blocks, which the spectral
+    route cannot guarantee at roundoff level.
     """
     return _evolve(space, u0, [t], method, tol)[0]
 
@@ -61,7 +74,9 @@ def _evolve(space: Space, u0, ts, method: str, tol: float) -> list:
 
     Each state is bit-identical to evolving its time alone: the series shares
     the terms P^k u0 of its first step, and rk4 shares each step matrix and
-    its squarings among the times powered with the same step length."""
+    its squarings among the times powered with the same step length. Times
+    past SERIES_STEP take the nu-average when the flow provably reaches it
+    within tol by the least of them (see the module docstring)."""
     v = as_values(space, u0)
     if not np.isfinite(v).all():  # before any route: the series would never converge on it
         raise StructuralError("field contains non-finite entries")
@@ -73,7 +88,13 @@ def _evolve(space: Space, u0, ts, method: str, tol: float) -> list:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     out = [None] * len(ts)  # a state left at None is u0
-    live = [i for i, t in enumerate(ts) if t != 0.0]
+    late = [i for i, t in enumerate(ts) if t > SERIES_STEP]
+    g = _decay_rate(space, v, min(ts[i] for i in late), max(ts[i] for i in late), tol) if late else None
+    if g is not None and _gap_at_least(space, g):
+        limit = _block_means(space.nu, v, [np.ones(space.n, dtype=bool)])
+        for i in late:
+            out[i] = limit
+    live = [i for i, t in enumerate(ts) if t != 0.0 and out[i] is None]
     P = space.kernel
     if method == "series":
         # a time so small that t / SERIES_STEP underflows to zero takes no step
@@ -92,6 +113,84 @@ def _evolve(space: Space, u0, ts, method: str, tol: float) -> list:
         for i, u in zip(live, _evolve_rk4(P, v, [float(ts[i]) for i in live])):
             out[i] = u
     return [ScalarField(space, v.copy() if u is None else u) for u in out]
+
+
+def _decay_rate(space: Space, v: np.ndarray, t0: float, t1: float, tol: float):
+    """A rate g such that, if sym(S) <= 1 - g on the complement of s, the flow
+    from v is within tol of the nu-average of v at every time in [t0, t1];
+    None where the kernel's residuals use up tol, the kernel has a negative
+    entry or the measure a nonpositive one.
+
+    S = diag(s) P diag(1/s) with s = sqrt(nu) carries the flow to w = s v, and
+    w's part orthogonal to s then shrinks at rate g, save for what the row-sum
+    residual r = P1 - 1 feeds in as (S - I)s = s r. The average itself drifts
+    with the invariance residual q = nu P - nu. With U = |v|_inf e^{t1 omega}
+    bounding |u(t)|_inf, omega the excess of the largest row sum over 1, the
+    state at t is within
+        (e^{-g t} |w_perp(0)| + U |s r| / g) / sqrt(min nu) + t U |q|_1 / sum(nu)
+    of the average. Both residuals are summed in extended precision, with
+    their rounding added; where numpy's longdouble is a plain double that
+    rounding uses up tol and no rate is returned."""
+    P, nu = space.kernel, space.nu
+    if not (space.n and nu.min() > 0 and np.isfinite(nu).all() and P.min() >= 0):
+        return None
+    ld = np.longdouble
+    gam = 2 * (space.n + 1) * np.finfo(ld).eps  # twice the relative rounding of a sum of n + 1 terms
+    rows = P.sum(axis=1, dtype=ld)
+    r = np.abs(rows - 1) + gam * rows
+    nuP = np.einsum("ij,i->j", P, nu.astype(ld))
+    q = float(np.abs(nuP - nu).sum() + gam * nuP.sum())
+    omega = max(0.0, float(rows.max() * (1 + gam)) - 1.0)
+    U = float(np.abs(v).max()) * np.exp(t1 * omega)
+    root = np.sqrt(nu.min())
+    a = np.sqrt(np.dot(nu, (v - np.dot(nu, v) / nu.sum()) ** 2)) / root
+    low = np.log(max(a / tol, np.e)) / t0  # no returned rate is lower
+    rest = U * (np.sqrt(np.dot(nu, r.astype(float) ** 2)) / (low * root) + t1 * q / nu.sum())
+    if not rest < tol:
+        return None
+    # half of what rest leaves goes to the decay; the other half is room for rounding in these bounds
+    return float(np.log(max(2 * a / (tol - rest), np.e)) / t0)
+
+
+def _gap_at_least(space: Space, g: float) -> bool:
+    """Whether one Cholesky factorization proves sym(S) <= 1 - g on the
+    complement of s = sqrt(nu), S = diag(s) P diag(1/s), for a nonnegative
+    kernel: a spectral gap of at least g, reversible or not.
+
+    It factors A = 2 h h^T + (1 - g - delta) I - (S + S^T)/2, h = s/|s|, whose
+    form on x orthogonal to s is that of (1 - g - delta) I - sym(S). Where P is
+    stochastic with nu invariant, s is an eigenvector of sym(S) with
+    eigenvalue 1, and 2 h h^T lifts it to 2 - g - delta, so s's own direction
+    refuses no rate below 2. delta covers the rounding in forming A and in
+    factoring it: a factorization that runs to completion has a backward
+    error of 2-norm at most gamma_{n+1} tr(A) / (1 - gamma_{n+1})
+    (Demmel 1989; Rump, BIT 46, 2006), so A + that >= 0."""
+    n = space.n
+    eps = np.finfo(float).eps  # twice the unit roundoff: room for rounding in the bounds themselves
+
+    def gamma(k):
+        return k * eps / (1 - k * eps)
+
+    s = np.sqrt(space.nu)
+    h = s / np.sqrt(space.nu.sum())
+    S = space.kernel * s[:, None]
+    S /= s
+    # entry (i, j) of A is formed within gamma_{n+8} (2 h_i h_j + S_ij + S_ji + 4[i = j]);
+    # the largest row sum of that bound bounds the 2-norm of the error
+    form = gamma(n + 8) * (float((2 * h * h.sum() + S.sum(axis=0) + S.sum(axis=1)).max()) + 4)
+    A = S + S.T
+    del S
+    A *= -0.5
+    A += np.outer(2 * h, h)
+    # tr(A) <= 2 |h|^2 + n, with |h|^2 within rounding of 1
+    delta = form + gamma(n + 1) / (1 - gamma(n + 1)) * (n + 3) + n * (n + 8) * np.finfo(float).tiny
+    A.flat[:: n + 1] += 1.0 - g - delta
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    # LAPACK may pass a NaN through without an error; it then reaches the diagonal
+    return bool(np.isfinite(np.diagonal(L)).all())
 
 
 def _evolve_series(P: np.ndarray, u0: np.ndarray, ts, tols) -> list:
@@ -206,9 +305,12 @@ def stationary_limit(space: Space, u0) -> ScalarField:
     stray = np.flatnonzero(sum(blocks, np.zeros(space.n, dtype=int)) == 0)
     if stray.size:
         raise ValueError(f"points {[space.labels[i] for i in stray]} lie in no invariant block")
-    v = as_values(space, u0)
-    nu = space.nu
+    return ScalarField(space, _block_means(space.nu, as_values(space, u0), blocks))
+
+
+def _block_means(nu: np.ndarray, v: np.ndarray, blocks: list) -> np.ndarray:
+    """v replaced on each block (a mask) by its nu-weighted mean there."""
     out = np.empty_like(v)
     for m in blocks:
         out[m] = float(np.dot(nu[m], v[m]) / nu[m].sum())
-    return ScalarField(space, out)
+    return out

@@ -9,6 +9,7 @@ from mrws import (
     Space,
     StructuralError,
     Subset,
+    _linalg,
     apply_laplacian,
     heat,
     heat_evolve,
@@ -16,7 +17,7 @@ from mrws import (
     stationary_limit,
     validate_space,
 )
-from mrws.builders import disjoint_union, grid_kernel_neumann, random_reversible_space, two_block_halves
+from mrws.builders import disjoint_union, grid_kernel_neumann, k3, random_reversible_space, two_block_halves
 
 from _oracles import heat_rk4_per_time, heat_series_per_time, rk4_stepwise
 from conftest import random_spaces
@@ -264,7 +265,8 @@ PER_TIME = {"series": heat_series_per_time, "rk4": heat_rk4_per_time}
 
 @pytest.mark.parametrize("method, times", [
     ("series", [0.5, 2.0, 8.0, 32.0]),
-    ("series", [0.01, 511.0, 512.0, 513.0, 1023.5, 1024.0, 1030.0]),  # one, two and three steps
+    # one, two and three steps; past 512 no decay certificate holds on this slow grid (gap 0.0027)
+    ("series", [0.01, 511.0, 512.0, 513.0, 1023.5, 1024.0, 1030.0]),
     ("series", [5e-324, 1e-300, 0.5]),  # t / 512 underflows to zero steps at 5e-324
     ("rk4", [0.01, 0.03, 0.0999, 0.3, 1.0, 4.0, 4.2, 32.0]),  # five step lengths
     ("rk4", [4.0, 32.0, 32.0]),
@@ -359,3 +361,71 @@ def test_limit_agrees_with_long_evolution(rng):
         target = stationary_limit(sp, u0).values
         evolved = heat_evolve(sp, u0, 200.0, method="spectral").values
         np.testing.assert_allclose(evolved, target, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the decay certificate past SERIES_STEP
+
+
+def _gap(sp):
+    s = np.sqrt(sp.nu)
+    S = (s[:, None] * sp.kernel) / s[None, :]
+    return float(np.linalg.eigvalsh(np.eye(sp.n) - 0.5 * (S + S.T))[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(**space_args)
+@example(seed=0, n=2, density=0.9, self_loops=False, split=False)  # K2: gap 2
+@example(seed=0, n=6, density=0.5, self_loops=True, split=True)
+def test_gap_certificate_property(seed, n, density, self_loops, split):
+    sp, _ = _hypothesis_space(seed, n, density, self_loops, split)
+    if sp.n < 2:
+        return
+    lam = _gap(sp)
+    # sound: never above the gap eigvalsh reads, nor at it, where only the slack delta refuses
+    for g in (lam, lam + 1e-9, 2.0 * lam + 1e-9):
+        assert not heat._gap_at_least(sp, g)
+    if split:
+        for g in (1e-9, 1e-3, 0.5):
+            assert not heat._gap_at_least(sp, g)
+    elif lam > 1e-6:
+        assert heat._gap_at_least(sp, lam / 2)
+
+
+def test_settled_states_are_the_stationary_limit(rng, monkeypatch):
+    sp = grid_kernel_neumann([(0.0, 1.0)], h=1 / 199, radius=0.3)  # n = 200, gap 0.134
+    u0 = rng.standard_normal(sp.n)
+    times = [513.0, 760.0, 900.0]
+    limit = stationary_limit(sp, u0).values
+    for t in times:
+        assert np.abs(limit - heat_series_per_time(sp.kernel, u0, t)).max() <= 1e-12
+    traj = heat_trajectory(sp, u0, [512.0] + times)  # 512 is no later than SERIES_STEP: still the series
+    np.testing.assert_array_equal(traj.states[1].values, heat_series_per_time(sp.kernel, u0, 512.0))
+    monkeypatch.setattr(_linalg, "decomposition", None)  # the certificate takes no eigendecomposition
+    for method in heat.METHODS:
+        traj = heat_trajectory(sp, u0, times, method=method)
+        for state in traj.states[1:]:
+            np.testing.assert_array_equal(state.values, limit)
+
+
+@pytest.mark.parametrize("method", heat.METHODS)
+def test_unsettled_long_times_take_their_route(two_block, p3, method):
+    # two invariant blocks each, and a measure P3's kernel does not leave invariant
+    for sp in (two_block, disjoint_union(k3(), k3()), Space(p3.labels, p3.metric, p3.kernel, np.ones(3))):
+        u0 = np.linspace(-1.0, 2.0, sp.n)
+        got = heat_evolve(sp, u0, 1000.0, method=method).values
+        if method == "spectral":
+            want = _linalg.heat_apply(sp, u0, 1000.0)
+        else:
+            want = PER_TIME[method](sp.kernel, u0, 1000.0)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_decay_rate_reads_the_kernel_residuals():
+    sp = grid_kernel_neumann([(0.0, 1.0)], h=1 / 199, radius=0.3)
+    u0 = np.linspace(0.0, 1.0, sp.n)
+    assert heat._decay_rate(sp, u0, 513.0, 900.0, 1e-12) is not None
+    heavy = Space(sp.labels, sp.metric, sp.kernel * (1 + 1e-9), sp.measure)  # rows sum to 1 + 1e-9
+    assert heat._decay_rate(heavy, u0, 513.0, 900.0, 1e-12) is None
+    tilted = Space(sp.labels, sp.metric, sp.kernel, sp.measure * np.linspace(1.0, 1.0 + 1e-9, sp.n))
+    assert heat._decay_rate(tilted, u0, 513.0, 900.0, 1e-12) is None
