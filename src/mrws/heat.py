@@ -16,15 +16,19 @@ The rk4 times powered with the same step length share one R, built once, and
 one chain of its squarings. Each state is bit-identical to evolving its time
 alone.
 
-Past SERIES_STEP the flow has often settled. Before any route runs, the times
-past it are checked against the paper's exponential decay: a spectral gap of
-at least g puts the state at time t within e^{-g t} |u0 - nu(u0)|_{L^2(nu)},
-read in the sup norm, of the nu-average. One Cholesky factorization proves
-the gap that brings this, with the kernel's own row-sum and invariance
-residuals, within tol at the least such time; then every time past
-SERIES_STEP gets the nu-average, under every method, with the bits of
+Past SERIES_STEP the flow has often settled. Before any route runs, each
+time past it is checked against the paper's exponential decay: a spectral
+gap of at least g puts the state at time t within
+e^{-g t} |u0 - nu(u0)|_{L^2(nu)}, read in the sup norm, of the nu-average.
+One Cholesky factorization proves the gap that brings this, with the
+kernel's own row-sum and invariance residuals, within tol at that time; the
+time then gets the nu-average, under every method, with the bits of
 stationary_limit. Where the proof fails (slow mixing, several invariant
-blocks, a measure that is not invariant) each route runs as before.
+blocks, a measure that is not invariant) its route runs as before. Each
+space keeps the gap it proved and the rate it refused, so the later times
+of a grid, and repeated calls, mostly factor nothing; and a field whose
+smoothed Rayleigh quotient already lies below the rate asked for is refused
+without the factorization.
 """
 
 from __future__ import annotations
@@ -74,9 +78,9 @@ def _evolve(space: Space, u0, ts, method: str, tol: float) -> list:
 
     Each state is bit-identical to evolving its time alone: the series shares
     the terms P^k u0 of its first step, and rk4 shares each step matrix and
-    its squarings among the times powered with the same step length. Times
-    past SERIES_STEP take the nu-average when the flow provably reaches it
-    within tol by the least of them (see the module docstring)."""
+    its squarings among the times powered with the same step length. A time
+    past SERIES_STEP takes the nu-average when the flow provably reaches it
+    within tol by that time (see the module docstring)."""
     v = as_values(space, u0)
     if not np.isfinite(v).all():  # before any route: the series would never converge on it
         raise StructuralError("field contains non-finite entries")
@@ -88,12 +92,9 @@ def _evolve(space: Space, u0, ts, method: str, tol: float) -> list:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     out = [None] * len(ts)  # a state left at None is u0
-    late = [i for i, t in enumerate(ts) if t > SERIES_STEP]
-    g = _decay_rate(space, v, min(ts[i] for i in late), max(ts[i] for i in late), tol) if late else None
-    if g is not None and _gap_at_least(space, g):
-        limit = _block_means(space.nu, v, [np.ones(space.n, dtype=bool)])
-        for i in late:
-            out[i] = limit
+    for i, t in enumerate(ts):
+        if t > SERIES_STEP and _settled(space, v, t, tol):
+            out[i] = _block_means(space.nu, v, [np.ones(space.n, dtype=bool)])
     live = [i for i, t in enumerate(ts) if t != 0.0 and out[i] is None]
     P = space.kernel
     if method == "series":
@@ -115,22 +116,66 @@ def _evolve(space: Space, u0, ts, method: str, tol: float) -> list:
     return [ScalarField(space, v.copy() if u is None else u) for u in out]
 
 
-def _decay_rate(space: Space, v: np.ndarray, t0: float, t1: float, tol: float):
+def _settled(space: Space, v: np.ndarray, t: float, tol: float) -> bool:
+    """Whether the flow from v provably lies within tol of the nu-average of
+    v at time t: whether the gap is proven at least the rate _decay_rate asks
+    for.
+
+    Each space keeps the largest gap proven and the least rate refused, as a
+    proven gap covers every smaller rate and a refusal every larger one; no
+    rate of 2 or more is tried, as sym(S) >= -1 where P is stochastic with nu
+    invariant. A new rate is first held against the field's own smoothed
+    Rayleigh quotient (_visibly_slower), so a flow that plainly mixes slower
+    than it needs no factorization. A bound that overflows or turns NaN is
+    refused, so its floating-point warnings are silenced here."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = _decay_rate(space, v, t, tol)
+        known = _linalg._memo(space, "decay certificate", lambda: [0.0, 2.0])  # [proven, refused]
+        if g is None or not g < known[1]:
+            return False
+        if g <= known[0]:
+            return True
+        proven = not _visibly_slower(space, v, g) and _gap_at_least(space, g)
+    known[0 if proven else 1] = g
+    return proven
+
+
+def _decay_rate(space: Space, v: np.ndarray, t: float, tol: float):
     """A rate g such that, if sym(S) <= 1 - g on the complement of s, the flow
-    from v is within tol of the nu-average of v at every time in [t0, t1];
-    None where the kernel's residuals use up tol, the kernel has a negative
+    from v is within tol of the nu-average of v at time t; None where the kernel's residuals use up tol, the kernel has a negative
     entry or the measure a nonpositive one.
 
     S = diag(s) P diag(1/s) with s = sqrt(nu) carries the flow to w = s v, and
     w's part orthogonal to s then shrinks at rate g, save for what the row-sum
     residual r = P1 - 1 feeds in as (S - I)s = s r. The average itself drifts
-    with the invariance residual q = nu P - nu. With U = |v|_inf e^{t1 omega}
-    bounding |u(t)|_inf, omega the excess of the largest row sum over 1, the
+    with the invariance residual q = nu P - nu. With U = |v|_inf e^{t omega}
+    bounding |u|_inf up to time t, omega the excess of the largest row sum over 1, the
     state at t is within
         (e^{-g t} |w_perp(0)| + U |s r| / g) / sqrt(min nu) + t U |q|_1 / sum(nu)
-    of the average. Both residuals are summed in extended precision, with
-    their rounding added; where numpy's longdouble is a plain double that
-    rounding uses up tol and no rate is returned."""
+    of the average. The residuals are the space's own (_residuals)."""
+    res = _linalg._memo(space, "kernel residuals", lambda: _residuals(space))
+    if res is None:
+        return None
+    sr, q, omega = res
+    nu = space.nu
+    U = float(np.abs(v).max()) * np.exp(t * omega)
+    root = np.sqrt(nu.min())
+    a = np.sqrt(np.dot(nu, (v - np.dot(nu, v) / nu.sum()) ** 2)) / root
+    low = np.log(max(a / tol, np.e)) / t  # no returned rate is lower
+    rest = U * (sr / (low * root) + t * q / nu.sum())
+    if not rest < tol:
+        return None
+    # half of what rest leaves goes to the decay; the other half is room for rounding in these bounds
+    return float(np.log(max(2 * a / (tol - rest), np.e)) / t)
+
+
+def _residuals(space: Space):
+    """(|s r|_2, |q|_1, omega) of _decay_rate, or None where the kernel has a
+    negative entry or the measure a nonpositive or non-finite one.
+
+    Both residuals are summed in extended precision, with their rounding
+    added; where numpy's longdouble is a plain double that rounding uses up
+    tol and no rate is returned."""
     P, nu = space.kernel, space.nu
     if not (space.n and nu.min() > 0 and np.isfinite(nu).all() and P.min() >= 0):
         return None
@@ -141,15 +186,34 @@ def _decay_rate(space: Space, v: np.ndarray, t0: float, t1: float, tol: float):
     nuP = np.einsum("ij,i->j", P, nu.astype(ld))
     q = float(np.abs(nuP - nu).sum() + gam * nuP.sum())
     omega = max(0.0, float(rows.max() * (1 + gam)) - 1.0)
-    U = float(np.abs(v).max()) * np.exp(t1 * omega)
-    root = np.sqrt(nu.min())
-    a = np.sqrt(np.dot(nu, (v - np.dot(nu, v) / nu.sum()) ** 2)) / root
-    low = np.log(max(a / tol, np.e)) / t0  # no returned rate is lower
-    rest = U * (np.sqrt(np.dot(nu, r.astype(float) ** 2)) / (low * root) + t1 * q / nu.sum())
-    if not rest < tol:
-        return None
-    # half of what rest leaves goes to the decay; the other half is room for rounding in these bounds
-    return float(np.log(max(2 * a / (tol - rest), np.e)) / t0)
+    return float(np.sqrt(np.dot(nu, r.astype(float) ** 2))), q, omega
+
+
+def _visibly_slower(space: Space, v: np.ndarray, g: float, steps: int = 24) -> bool:
+    """Whether v, smoothed by up to steps applications of I + S and kept on
+    the complement of s, reaches a Rayleigh quotient of I - sym(S) below g.
+
+    That quotient bounds the gap from above, so the factorization of
+    _gap_at_least would then fail too: this only spares it. Smoothing damps
+    the fast modes, so on a slowly mixing space the quotient soon falls below
+    a rate the flow cannot keep; where it does not, the factorization
+    decides."""
+    s = np.sqrt(space.nu)
+    h = s / np.linalg.norm(s)
+    x = h * (v / np.abs(v).max())  # w = s v, scaled so that no square overflows
+    for _ in range(steps):
+        before = x @ x
+        x -= h * (h @ x)
+        xx = x @ x
+        # what the projection leaves must stand clear of its rounding along s, whose
+        # quotient is 0: not so for a constant field, nor once I + S annihilated the rest
+        if not xx > 1e-8 * before:
+            return False
+        y = s * (space.kernel @ (x / s))
+        if xx - x @ y < g * xx:
+            return True
+        x = (x + y) / np.sqrt(xx)
+    return False
 
 
 def _gap_at_least(space: Space, g: float) -> bool:

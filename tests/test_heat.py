@@ -17,7 +17,9 @@ from mrws import (
     stationary_limit,
     validate_space,
 )
-from mrws.builders import disjoint_union, grid_kernel_neumann, k3, random_reversible_space, two_block_halves
+from mrws.builders import (
+    cycle, disjoint_union, grid_kernel_neumann, k3, random_reversible_space, two_block_halves,
+)
 
 from _oracles import heat_rk4_per_time, heat_series_per_time, rk4_stepwise
 from conftest import random_spaces
@@ -368,9 +370,11 @@ def test_limit_agrees_with_long_evolution(rng):
 
 
 def _gap(sp):
+    """Least eigenvalue of I - sym(S) on the complement of s = sqrt(nu)."""
     s = np.sqrt(sp.nu)
     S = (s[:, None] * sp.kernel) / s[None, :]
-    return float(np.linalg.eigvalsh(np.eye(sp.n) - 0.5 * (S + S.T))[1])
+    B = np.linalg.qr(s[:, None], mode="complete")[0][:, 1:]  # orthonormal basis of s's complement
+    return float(np.linalg.eigvalsh(B.T @ (np.eye(sp.n) - 0.5 * (S + S.T)) @ B)[0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -378,10 +382,12 @@ def _gap(sp):
 @example(seed=0, n=2, density=0.9, self_loops=False, split=False)  # K2: gap 2
 @example(seed=0, n=6, density=0.5, self_loops=True, split=True)
 def test_gap_certificate_property(seed, n, density, self_loops, split):
-    sp, _ = _hypothesis_space(seed, n, density, self_loops, split)
+    sp, u0 = _hypothesis_space(seed, n, density, self_loops, split)
     if sp.n < 2:
         return
     lam = _gap(sp)
+    # the smoothed Rayleigh quotient that spares the factorization never refuses a rate below the gap
+    assert not heat._visibly_slower(sp, u0, lam - 1e-9)
     # sound: never above the gap eigvalsh reads, nor at it, where only the slack delta refuses
     for g in (lam, lam + 1e-9, 2.0 * lam + 1e-9):
         assert not heat._gap_at_least(sp, g)
@@ -406,6 +412,10 @@ def test_settled_states_are_the_stationary_limit(rng, monkeypatch):
         traj = heat_trajectory(sp, u0, times, method=method)
         for state in traj.states[1:]:
             np.testing.assert_array_equal(state.values, limit)
+    # a constant field has no smoothed Rayleigh quotient to refuse it; it settles at once
+    flat = np.full(sp.n, 0.3)
+    np.testing.assert_array_equal(heat_evolve(sp, flat, 760.0, method="spectral").values,
+                                  stationary_limit(sp, flat).values)
 
 
 @pytest.mark.parametrize("method", heat.METHODS)
@@ -424,8 +434,90 @@ def test_unsettled_long_times_take_their_route(two_block, p3, method):
 def test_decay_rate_reads_the_kernel_residuals():
     sp = grid_kernel_neumann([(0.0, 1.0)], h=1 / 199, radius=0.3)
     u0 = np.linspace(0.0, 1.0, sp.n)
-    assert heat._decay_rate(sp, u0, 513.0, 900.0, 1e-12) is not None
+    assert heat._decay_rate(sp, u0, 900.0, 1e-12) is not None
     heavy = Space(sp.labels, sp.metric, sp.kernel * (1 + 1e-9), sp.measure)  # rows sum to 1 + 1e-9
-    assert heat._decay_rate(heavy, u0, 513.0, 900.0, 1e-12) is None
+    assert heat._decay_rate(heavy, u0, 900.0, 1e-12) is None
     tilted = Space(sp.labels, sp.metric, sp.kernel, sp.measure * np.linspace(1.0, 1.0 + 1e-9, sp.n))
-    assert heat._decay_rate(tilted, u0, 513.0, 900.0, 1e-12) is None
+    assert heat._decay_rate(tilted, u0, 900.0, 1e-12) is None
+
+
+def _lazy_directed_cycle():
+    P = 0.5 * (np.eye(7) + np.roll(np.eye(7), 1, axis=1))  # stay, or step to the next point
+    return Space(tuple(range(7)), cycle(7).metric, P, np.ones(7))
+
+
+def _circulating(seed):
+    """A lazy random reversible space with a flow pushed round a cycle through
+    all its points: nu stays invariant, detailed balance fails."""
+    base = random_reversible_space(6, np.random.default_rng(seed), density=0.5)
+    P = 0.5 * (np.eye(6) + base.kernel)
+    push = 0.25 * base.nu.min() / base.nu
+    P[np.arange(6), (np.arange(6) + 1) % 6] += push
+    P[np.arange(6), np.arange(6)] -= push
+    return Space(base.labels, base.metric, P, base.measure)
+
+
+@pytest.mark.parametrize("build", [_lazy_directed_cycle, lambda: _circulating(0), lambda: _circulating(1)],
+                         ids=["lazy-directed-cycle", "circulating-0", "circulating-1"])
+def test_gap_certificate_without_reversibility(build):
+    sp = build()
+    flow = sp.nu[:, None] * sp.kernel
+    assert np.abs(flow - flow.T).max() > 1e-3  # not reversible
+    np.testing.assert_allclose(sp.kernel.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sp.nu @ sp.kernel, sp.nu, rtol=1e-14, atol=0)  # nu invariant
+    lam = _gap(sp)
+    assert lam > 0.05
+    for g in (lam, lam + 1e-9, 2.0 * lam):
+        assert not heat._gap_at_least(sp, g)
+    assert heat._gap_at_least(sp, lam / 2)
+
+
+def test_certificate_is_kept_per_space(rng, monkeypatch):
+    sp = grid_kernel_neumann([(0.0, 1.0)], h=1 / 199, radius=0.3)
+    u0 = rng.standard_normal(sp.n)
+    limit = stationary_limit(sp, u0).values
+    rates = []
+    factor = heat._gap_at_least
+    monkeypatch.setattr(heat, "_gap_at_least", lambda space, g: rates.append(g) or factor(space, g))
+    for t in (760.0, 760.0, 900.0):  # 900 asks for a lower rate than 760 proved
+        np.testing.assert_array_equal(heat_evolve(sp, u0, t, method="spectral").values, limit)
+    assert len(rates) == 1
+
+
+@pytest.mark.parametrize("method", sorted(PER_TIME))
+def test_slow_flow_is_refused_without_factorization(rng, monkeypatch, method):
+    sp = grid_kernel_neumann([(0.0, 1.0)], h=1 / 79, radius=0.05)  # gap 0.0027
+    u0 = rng.standard_normal(sp.n)
+    monkeypatch.setattr(heat, "_gap_at_least", None)  # a factorization would raise
+    for t in (513.0, 513.0, 1030.0):
+        np.testing.assert_array_equal(heat_evolve(sp, u0, t, method=method).values,
+                                      PER_TIME[method](sp.kernel, u0, t))
+
+
+def test_refused_bounds_raise_no_floating_point_warnings(p3):
+    # past n ~ 512 the rounding of the largest row sum reads as omega = 2.2e-16, so e^{t omega}
+    # overflows at t = 1e19, and an all-zero field meets it as 0 * inf; tol = 1e-320 overflows
+    # a / tol. Each such bound is refused and the route runs.
+    sp = grid_kernel_neumann([(0.0, 1.0)], h=1 / 599, radius=0.2)  # n = 600
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u0 in (np.linspace(0.0, 1.0, sp.n), np.zeros(sp.n)):
+            np.testing.assert_array_equal(heat_evolve(sp, u0, 1e19, method="spectral").values,
+                                          _linalg.heat_apply(sp, u0, 1e19))
+        u0 = np.array([1.0, -2.0, 0.5])
+        np.testing.assert_array_equal(heat_evolve(p3, u0, 600.0, tol=1e-320).values,
+                                      heat_series_per_time(p3.kernel, u0, 600.0, tol=1e-320))
+
+
+def test_each_late_time_is_certified_on_its_own(rng):
+    # gap 0.015: t = 600 needs a faster decay than that and takes the series; t = 2500 settles,
+    # in a grid as alone
+    def build():
+        return grid_kernel_neumann([(0.0, 1.0)], h=1 / 199, radius=0.1)
+
+    sp = build()
+    u0 = rng.standard_normal(sp.n)
+    traj = heat_trajectory(sp, u0, [600.0, 2500.0])
+    np.testing.assert_array_equal(traj.states[1].values, heat_series_per_time(sp.kernel, u0, 600.0))
+    np.testing.assert_array_equal(traj.states[2].values, stationary_limit(sp, u0).values)
+    np.testing.assert_array_equal(heat_evolve(build(), u0, 2500.0).values, traj.states[2].values)
