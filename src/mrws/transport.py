@@ -10,19 +10,14 @@ potential is genuinely 1-Lipschitz.
 
 Where only the W1 cost is read (the coarse Ricci curvature and the verifiers),
 it goes through one stacked route, ``_routed``, over (m, n) stacks of marginal
-pairs, one pair per row. A row has a closed form when either marginal is a
-point mass, which forces the coupling, or on a tree metric, where W1 is the
-edge-weighted sum of the subtree imbalances, certified by a tree potential;
-the closed forms run row by row, so a row's bits do not depend on its stack.
-``_tree`` reads the tree off the distance matrix alone, whichever pairs the
-kernel joins, so it finds every metric that is the path metric of a tree on
-the points; this module uses no graph library.
-``_w1`` solves each row left by the LP of ``wasserstein``. ``_w1_upper`` bounds
-each row left from above without an LP (a greedy coupling, run for every row
-in lock step), so that ``_best_first``, the one search for the largest (or
-least) of many costs, solves only the LPs that can set it. The verifiers keep
-one record per density and space, its W1 bound to the measure and its
-``divergences``, which the three inequalities share.
+pairs, one per row, which fills the rows with a closed form (a point mass, or
+any row on a tree metric, which ``_tree`` reads off the distances without a
+graph library) in one pass that keeps each row's bits. ``_w1`` solves each row
+left by the LP of ``wasserstein``; ``_w1_upper`` bounds it without an LP (a
+greedy coupling, all rows in lock step), so that ``_best_first``, the one
+search for the largest (or least) of many costs, solves only the LPs that can
+set it. The verifiers share one draw and one record per density and space (its
+W1 bound to the measure and its divergences), made by stacked passes.
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ import numpy as np
 from . import _linalg
 from ._simplex import transportation_simplex as linprog  # every LP solve goes through this name
 from .core import HypothesisError, Space, StructuralError, _readonly, as_values
-from .spectral import dirichlet_energy
 
 __all__ = [
     "TransportPlan",
@@ -71,7 +65,7 @@ class TransportPlan:
 
 
 def wasserstein(space: Space, mu, nu2, p: int = 1) -> TransportPlan:
-    """Optimal transport between two equal-mass nonnegative vectors.
+    """Optimal transport between two finite, nonnegative vectors of equal mass.
 
     Ground cost is the space metric to the p-th power (p in {1, 2}); the
     reported ``cost`` is the p-th root of the optimal objective. Duals are
@@ -90,19 +84,20 @@ def wasserstein(space: Space, mu, nu2, p: int = 1) -> TransportPlan:
 
 
 def _balanced(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked marginal pairs, one per row, checked row by row to be
-    nonnegative and of equal mass (relative 1e-12; zero mass only against zero
-    mass), each target rescaled to its source's mass exactly. The first
-    failing row raises."""
-    negative = (np.minimum(A, B) < 0).any(axis=-1).tolist()
-    scale = []
-    for neg, ta, tb in zip(negative, A.sum(axis=-1).tolist(), B.sum(axis=-1).tolist()):
-        if neg:
-            raise ValueError("marginals must be nonnegative")
-        if abs(ta - tb) > 1e-12 * max(1.0, ta, tb) or (ta == 0.0) != (tb == 0.0):
-            raise ValueError(f"mass imbalance: {ta} vs {tb}")
-        scale.append(ta / tb if tb else 1.0)  # a zero row stays zero
-    return A, B * np.array(scale).reshape(-1, 1)  # balance exactly
+    """Stacked marginal pairs, one per row, checked to be finite, nonnegative
+    and of equal mass (relative 1e-12; zero mass only against zero mass),
+    each target rescaled to its source's mass exactly. The first failing row
+    raises the message of its first failing check."""
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite mass is refused below
+        ta, tb = A.sum(axis=-1), B.sum(axis=-1)  # finite exactly when every entry is
+        infinite, negative = ~(np.isfinite(ta) & np.isfinite(tb)), (np.minimum(A, B) < 0).any(axis=-1)
+        imbalanced = (abs(ta - tb) > 1e-12 * np.maximum(1.0, np.maximum(ta, tb))) | ((ta == 0.0) != (tb == 0.0))
+    failing = infinite | negative | imbalanced
+    if failing.any():
+        r = failing.argmax()
+        raise ValueError("marginals must be finite" if infinite[r] else "marginals must be nonnegative"
+                         if negative[r] else f"mass imbalance: {ta[r].item()} vs {tb[r].item()}")
+    return A, B * np.divide(ta, tb, out=np.ones_like(ta), where=tb != 0.0)[:, None]  # a zero row stays zero
 
 
 def _plan(space: Space, a: np.ndarray, b: np.ndarray, p: int) -> TransportPlan:
@@ -132,21 +127,37 @@ def _plan(space: Space, a: np.ndarray, b: np.ndarray, p: int) -> TransportPlan:
 
 def _routed(space: Space, A, B):
     """(A, B, cost, gap, rows) for stacked marginal pairs, (m, n) arrays with
-    one pair per row, checked by ``_balanced``: each row's W1 cost and gap is
-    0 at zero mass and ``_closed_form``, row by row, where that applies; rows
-    indexes the rows left to a solver. The one place that decides the route."""
+    one pair per row, checked by ``_balanced``: each row's W1 cost and duality
+    gap, 0 at zero mass and where a closed form applies, with the bits of the
+    row alone; rows indexes the rows left to a solver. The one place that
+    decides the route.
+
+    A point mass forces the coupling, so W1(m delta_x, b) = sum_y b_y d(x, y)
+    with gap 0. On a tree metric (``_tree``) W1 = sum_e w_e |s_e|, s_e the
+    imbalance a - b summed over the subtree below edge e (Evans and Matsen,
+    JRSS-B 2012); the potential u(child) = u(parent) + w_e sign(s_e) is
+    1-Lipschitz and attains it, and its gap |W1 - (a - b).u| certifies the
+    value. Tree rows take stacked products, which numpy runs as the gemv or
+    dot a row alone makes; each point-mass row takes its own dot product.
+    """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape != B.shape or A.shape[1] != space.n:
         raise StructuralError(f"expected two (m, {space.n}) stacks, got shapes {A.shape} and {B.shape}")
     A, B = _balanced(A, B)
     cost, gap = np.zeros(len(A)), np.zeros(len(A))
-    massive = A.any(axis=-1)  # a row of zero mass costs 0
-    closed = ((A != 0).sum(axis=-1) == 1) | ((B != 0).sum(axis=-1) == 1)  # a point mass
-    if (massive & ~closed).any() and _tree(space) is not None:
-        closed[:] = True  # every row has the tree closed form
-    for r in np.flatnonzero(massive & closed):
-        cost[r], gap[r] = _closed_form(space, A[r], B[r])
-    return A, B, cost, gap, np.flatnonzero(massive & ~closed)
+    na, nb = np.count_nonzero(A, axis=-1), np.count_nonzero(B, axis=-1)
+    for r in ((na == 1) | (nb == 1)).nonzero()[0].tolist():
+        src, dst = (A[r], B[r]) if na[r] == 1 else (B[r], A[r])
+        cost[r] = dst @ space.metric[:, src.argmax()]
+    rows = ((na > 1) & (nb > 1)).nonzero()[0]  # a row of zero mass costs 0
+    if rows.size and (tree := _tree(space)) is not None:
+        below, w = tree
+        diff = (A[rows] - B[rows])[:, None, :]
+        s = diff @ below
+        cost[rows] = c = (w @ np.abs(s).swapaxes(1, 2))[:, 0]
+        gap[rows] = abs(c - (diff @ (below @ (w * np.sign(s)).swapaxes(1, 2)))[:, 0, 0])
+        rows = rows[:0]
+    return A, B, cost, gap, rows
 
 
 def _w1(space: Space, A, B) -> tuple[np.ndarray, np.ndarray]:
@@ -266,31 +277,6 @@ def _best_first(bounds: list, exact) -> float:
     return best
 
 
-def _closed_form(space: Space, a: np.ndarray, b: np.ndarray) -> tuple[float, float] | None:
-    """(W1 cost, duality gap) between checked marginals of positive mass where
-    a closed form applies, else None.
-
-    A point mass forces the coupling, so W1(m delta_x, b) = sum_y b_y d(x, y)
-    with gap 0. On a tree metric (``_tree``) W1 = sum_e w_e |s_e|, s_e the
-    imbalance a - b summed over the subtree below edge e (Evans and Matsen,
-    JRSS-B 2012); the potential u(child) = u(parent) + w_e sign(s_e) is
-    1-Lipschitz and attains it, and its gap |W1 - (a - b).u| certifies the
-    value.
-    """
-    for src, dst in ((a, b), (b, a)):
-        at = np.flatnonzero(src)
-        if at.size == 1:
-            return float(dst @ space.metric[:, at[0]]), 0.0
-    tree = _tree(space)
-    if tree is None:
-        return None
-    below, w = tree
-    diff = a - b
-    s = diff @ below
-    cost = float(w @ np.abs(s))
-    return cost, abs(cost - float(diff @ (below @ (w * np.sign(s)))))
-
-
 def _tree(space: Space):
     """The tree on the points whose path metric is the space's metric, as
     (below, w), or None when there is none. Memoized per space.
@@ -364,20 +350,36 @@ def divergences(space: Space, density) -> DivergenceStats:
     """Relative entropy and information of a probability density w.r.t. the
     normalized stationary measure.
 
-    entropy = int f log f dnu (0 log 0 = 0); fisher = 2 * energy(sqrt f).
-    Both vanish exactly when the density is identically one.
+    entropy = int f log f dnu (0 log 0 = 0); fisher = 2 * energy(sqrt f); both
+    vanish exactly at f = 1. A non-finite, negative or unnormalized f raises.
     """
-    f = as_values(space, density)
-    if np.any(f < 0):
-        raise ValueError("density must be nonnegative")
-    nu = space.nu
-    total = float(nu @ f)
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"density must integrate to 1 (got {total})")
-    pos = f > 0
-    entropy = float(np.sum(nu[pos] * f[pos] * np.log(f[pos])))
-    fisher = 2.0 * dirichlet_energy(space, np.sqrt(f))
-    return DivergenceStats(entropy, fisher)
+    return DivergenceStats(*(x.item() for x in _divergences(space, as_values(space, density)[None])))
+
+
+def _divergences(space: Space, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(entropies, informations) of stacked densities, one per row of F, with
+    the checks (the first failing row raises) and bits of ``divergences`` on
+    each row: entropy terms summed along the last axis, or over the positive
+    ones alone where zeros split them (a block indicator); energies per n^2."""
+    nu, n = space.nu, space.n
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row is refused below
+        total = F @ nu
+    infinite, negative = ~np.isfinite(F).all(axis=-1), (F < 0).any(axis=-1)
+    failing = infinite | negative | (abs(total - 1.0) > 1e-10)
+    if failing.any():
+        r = failing.argmax()
+        raise ValueError("density must be finite" if infinite[r] else "density must be nonnegative"
+                         if negative[r] else f"density must integrate to 1 (got {total[r].item()})")
+    pos = F > 0
+    terms = nu * F * np.log(F, out=np.zeros_like(F), where=pos)
+    entropy = terms.sum(axis=-1)
+    for r in np.flatnonzero(~pos.all(axis=-1) & (pos.sum(axis=-1) > 1)):
+        entropy[r] = terms[r][pos[r]].sum()
+    weight, root, energy = nu[:, None] * space.kernel, np.sqrt(F), np.empty(len(F))
+    for p in _passes(len(F), n * n):
+        diff = root[p, None, :] - root[p, :, None]
+        energy[p] = (weight * diff ** 2).reshape(-1, n * n).sum(axis=-1)
+    return entropy, 2.0 * (0.5 * energy)  # twice the energy, as dirichlet_energy halves it
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +432,14 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
     Only the largest ratio is read, so ``_best_first`` solves the densities in
     order of decreasing ratio bound, ``_w1_upper`` over the right side
     (infinite for a right side of 0 unless the bound is at most 1e-12, which
-    certifies ratio 0), until its stopping rule certifies the maximum. Each
-    density has one record per space, keyed by its bytes and shared by the
-    three kinds: its W1(f nu, nu) bound and its ``divergences``, made for all
-    densities not yet seen by one stacked ``_w1_upper`` call, one (f nu, nu)
-    row each. A kind only maps the records to right sides and ratio bounds.
-    The exact W1(f nu, nu) of a density the search solves is memoized under
-    the same bytes. A normalized measure with a NaN or infinite entry is
-    refused with a ValueError before any density is drawn.
+    certifies ratio 0), until its stopping rule certifies the maximum. The
+    three kinds share the draw of an integer seed (per space and trial count;
+    a Generator or None draws afresh) and one record per density and space,
+    keyed by its bytes: its W1(f nu, nu) bound and divergences, made for the
+    densities not yet seen by one stacked pass. A kind only maps the records
+    to right sides and ratio bounds; the exact W1(f nu, nu) of a density the
+    search solves is memoized under the same bytes. A normalized measure with
+    a NaN or infinite entry is refused with a ValueError before any draw.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1 (got {trials})")
@@ -476,34 +478,31 @@ def verify_transport_inequality(space: Space, kind: str, trials: int, rng=None) 
             raise HypothesisError("no positive transport-information constant available")
         k_ti = max(candidates)
 
-    rng = np.random.default_rng(rng)
     nu = space.nu
-    densities = [random_density(space, rng) for _ in range(trials)]
-    blocks = invariant_blocks(space).blocks
-    if len(blocks) > 1:
-        densities += [b.mask / float(nu @ b.mask) for b in blocks]
+
+    def draw():
+        gen, blocks = np.random.default_rng(rng), invariant_blocks(space).blocks
+        densities = [random_density(space, gen) for _ in range(trials)]
+        densities += [b.mask / float(nu @ b.mask) for b in blocks] if len(blocks) > 1 else []
+        return [("density", f.tobytes()) for f in densities]  # a key holds its density's bytes
+
+    keys = _linalg._memo(space, ("draw", trials, rng), draw) if isinstance(rng, (int, np.integer)) else draw()
 
     def ratio(w1, r):  # a right side of 0 fails unless the left side is 0 as well
-        if r == 0.0:
-            return 0.0 if w1 <= 1e-12 else math.inf
-        return float(w1 / r)
+        return float(w1 / r) if r != 0.0 else 0.0 if w1 <= 1e-12 else math.inf
 
-    keys = [("density", f.tobytes()) for f in densities]
-    by_key = dict(zip(keys, densities))
+    def records(missing):  # one stacked pass over the densities not yet seen
+        F = np.array([np.frombuffer(key[1]) for key in missing])
+        return zip(_w1_upper(space, F * nu, np.broadcast_to(nu, F.shape)).tolist(),
+                   *(x.tolist() for x in _divergences(space, F)))
 
-    def records(missing):  # one stacked bound over the densities not yet seen
-        divs = [divergences(space, by_key[key]) for key in missing]
-        F = np.array([by_key[key] for key in missing])
-        return list(zip(_w1_upper(space, F * nu, np.broadcast_to(nu, F.shape)).tolist(), divs))
-
-    rhs, bounds = [], []
-    for ub, div in _linalg._memo_many(space, keys, records):
-        rhs.append(np.sqrt(root2theta / k_ti * max(div.entropy, 0.0)) if kind == "te"
-                   else root2theta / (k_be or kappa) * np.sqrt(div.fisher))
-        bounds.append(ratio(ub, rhs[-1]))
+    ub, entropy, fisher = np.array(_linalg._memo_many(space, keys, records)).T
+    rhs = (np.sqrt(root2theta / k_ti * np.maximum(entropy, 0.0)) if kind == "te"
+           else root2theta / (k_be or kappa) * np.sqrt(fisher)).tolist()
+    bounds = [ratio(u, r) for u, r in zip(ub.tolist(), rhs)]
 
     def exact(k):
-        f = densities[k]
+        f = np.frombuffer(keys[k][1])
         lhs = _linalg._memo(space, ("w1_to_nu", keys[k][1]),
                             lambda: _w1(space, (f * nu)[None], nu[None])[0].item())
         return ratio(lhs, rhs[k])

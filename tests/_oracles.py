@@ -5,9 +5,12 @@ exhaustive enumeration) and shares no code with the library paths it checks.
 The exceptions are ``point_forms``, which assembles the library's per-point
 Gamma2 matrix so that the tests can check it against ``gamma2`` directly,
 ``be_constant_per_point``, which takes that matrix too, so that it checks the
-grouping and chunking of the Bakry-Emery points, and ``w1_upper_scalar``,
-which takes the library's closed forms for the pairs that have one, so that
-it checks only the greedy coupling. ``transport_lp``
+grouping and chunking of the Bakry-Emery points, and ``closed_form``, which
+takes the library's tree (``transport._tree``; ``tree_support_mst`` checks
+that), and ``routed``, which takes the library's checks (``_balanced``), so
+that they check the stacked closed forms row by row. ``closed_form`` and
+``divergences_row`` are the row-by-row forms the library computed before its
+stacked passes, kept as the bit-for-bit reference. ``transport_lp``
 is scipy's HiGHS solver, the reference for the library's own simplex,
 ``tree_support_mst`` finds trees with scipy's graph routines, and
 ``invariant_blocks_scc`` takes the closed classes from scipy's strong
@@ -23,7 +26,8 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from mrws.curvature import _gamma2_matrix
-from mrws.transport import GEODESIC_RTOL, _closed_form
+from mrws.spectral import dirichlet_energy
+from mrws.transport import GEODESIC_RTOL, _balanced, _tree
 
 
 def w1_bruteforce(mu, nu, cost):
@@ -82,12 +86,14 @@ def transport_lp(c, a, b):
 
 def w1_upper_scalar(space, mu, nu):
     """The greedy W1 upper bound of one marginal pair by a scalar loop: the
-    same checks and exact rebalancing as ``transport._balanced``, the closed
-    form where there is one, else min(a, b) kept in place and the residual's
-    cells filled in the order of a stable sort of their costs, each as far as
-    its row and column allow."""
+    same checks (for masses that do not overflow) and exact rebalancing as
+    ``transport._balanced``, the closed form where there is one, else min(a,
+    b) kept in place and the residual's cells filled in the order of a stable
+    sort of their costs, each as far as its row and column allow."""
     a = np.asarray(mu, dtype=float)
     b = np.asarray(nu, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("marginals must be finite")
     if np.any(a < 0) or np.any(b < 0):
         raise ValueError("marginals must be nonnegative")
     ta, tb = float(a.sum()), float(b.sum())
@@ -96,7 +102,7 @@ def w1_upper_scalar(space, mu, nu):
     if ta == 0.0:
         return 0.0
     b = b * (ta / tb)
-    exact = _closed_form(space, a, b)
+    exact = closed_form(space, a, b)
     if exact is not None:
         return exact[0]
     common = np.minimum(a, b)
@@ -119,6 +125,49 @@ def w1_upper_scalar(space, mu, nu):
         if not (rows_left and cols_left):
             break
     return cost
+
+
+def closed_form(space, a, b):
+    """(W1 cost, duality gap) between checked marginals of positive mass where
+    a closed form applies, else None, one pair at a time: a point mass forces
+    the coupling (gap 0), and on a tree metric W1 = sum_e w_e |s_e| with the
+    gap of the tree potential."""
+    for src, dst in ((a, b), (b, a)):
+        at = np.flatnonzero(src)
+        if at.size == 1:
+            return float(dst @ space.metric[:, at[0]]), 0.0
+    tree = _tree(space)
+    if tree is None:
+        return None
+    below, w = tree
+    diff = a - b
+    s = diff @ below
+    cost = float(w @ np.abs(s))
+    return cost, abs(cost - float(diff @ (below @ (w * np.sign(s)))))
+
+
+def routed(space, A, B):
+    """``transport._routed`` by ``closed_form``, row by row, a row of zero mass
+    costing 0, after the library's checks (``_balanced``)."""
+    A, B = _balanced(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
+    rows = [closed_form(space, a, b) if a.any() else (0.0, 0.0) for a, b in zip(A, B)]
+    return (A, B, np.array([r[0] if r else 0.0 for r in rows]), np.array([r[1] if r else 0.0 for r in rows]),
+            np.array([k for k, r in enumerate(rows) if r is None], dtype=int))
+
+
+def divergences_row(space, f):
+    """(entropy, fisher) of one checked density: the sum of nu f log f over
+    its positive entries, and twice the Dirichlet energy of sqrt(f)."""
+    pos = f > 0
+    entropy = float(np.sum(space.nu[pos] * f[pos] * np.log(f[pos])))
+    return entropy, 2.0 * dirichlet_energy(space, np.sqrt(f))
+
+
+def divergences_rows(space, F):
+    """``transport._divergences`` by ``divergences_row``, row by row, without
+    its checks."""
+    rows = [divergences_row(space, f) for f in F]
+    return np.array([e for e, _ in rows]), np.array([i for _, i in rows])
 
 
 def tree_support_mst(space):

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mrws import Space, space_to_json
-from mrws import cli, curvature, geometry, transport
+from mrws import HypothesisError, Space, space_from_json, space_to_json
+from mrws import builders, cli, curvature, geometry, transport
 from mrws.builders import (cycle, grid_kernel_neumann, k3 as make_k3, lazy_cycle, p3 as make_p3,
                            random_reversible_space, two_block)
 from mrws.cli import main
+
+import _oracles
 
 
 def write_space(tmp_path, space, name="space.json"):
@@ -404,6 +406,51 @@ def test_analyze_deterministic_bytes(tmp_path, capsys):
     main(["analyze", path, "--trials", "10"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def _analyze_inputs(tmp_path):
+    """Paths of P3, K3, TwoBlock(0.1) and two random spaces, n = 24 sparse and
+    n = 40 dense: the analyze spaces of the benchmark before relabelling."""
+    spaces = [builders.fixture("P3"), builders.fixture("K3"), builders.fixture("TwoBlock(0.1)"),
+              random_reversible_space(24, np.random.default_rng(0), density=0.2),
+              random_reversible_space(40, np.random.default_rng(0), density=0.5)]
+    return [write_space(tmp_path, sp, f"analyze{k}.json") for k, sp in enumerate(spaces)]
+
+
+def test_stacked_transport_prints_the_row_by_row_bytes(tmp_path, capsys, monkeypatch):
+    # analyze on those spaces, and the edge curvatures of an n = 200 grid
+    # (594 pairs with the tree closed form), print the same bytes with the
+    # stacked closed forms and divergences as with the row-by-row forms
+    grid = grid_kernel_neumann([(0.0, 1.0)], h=1 / 199, radius=0.02)
+    runs = [["analyze", path] for path in _analyze_inputs(tmp_path)]
+    runs.append(["curvature", write_space(tmp_path, grid, "grid.json"), "--ollivier", "edges"])
+
+    def stdout():
+        out = []
+        for argv in runs:
+            assert main(argv) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    shipped = stdout()
+    monkeypatch.setattr(transport, "_routed", _oracles.routed)
+    monkeypatch.setattr(transport, "_divergences", _oracles.divergences_rows)
+    assert stdout() == shipped
+
+
+def test_analyze_ratios_are_the_standalone_verifiers(tmp_path, capsys):
+    # analyze runs the three kinds on one draw; each ratio is the one a
+    # verifier called alone on a fresh space gives
+    for path in _analyze_inputs(tmp_path):
+        _, obj = run(capsys, ["analyze", path])
+        for kind in transport.KINDS:
+            try:
+                alone = transport.verify_transport_inequality(
+                    space_from_json(json.loads(Path(path).read_text())), kind, trials=50, rng=0)
+                want = alone if np.isfinite(alone) else None
+            except HypothesisError as e:
+                want = {"skipped": str(e)}
+            assert obj["transport"]["max_ratios"][kind] == want, (path, kind)
 
 
 def _graph_inputs(tmp_path):

@@ -17,8 +17,10 @@ from mrws import (
     wasserstein,
 )
 from mrws import Space, curvature, transport
-from mrws.builders import disjoint_union, grid_kernel_neumann, lazy_cycle, random_reversible_space, two_block_halves
-from mrws.transport import GEODESIC_RTOL, KINDS, _best_first, _closed_form, _tree, _w1, _w1_upper
+from mrws.builders import (disjoint_union, grid_kernel_neumann, lazy_cycle, random_reversible_space, two_block,
+                           two_block_halves)
+from mrws.connectivity import invariant_blocks
+from mrws.transport import GEODESIC_RTOL, KINDS, _best_first, _routed, _tree, _w1, _w1_upper
 
 import _oracles
 from conftest import PRUNING_KINDS, infinite_w1_upper, loose_w1_upper, pruning_space, random_spaces, random_tree_space
@@ -181,10 +183,46 @@ def test_p3_point_mass_divergences(p3):
 
 
 def test_divergences_input_validation(p3):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         divergences(p3, [-1.0, 4.0, 1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"integrate to 1 \(got 1.25\)"):
         divergences(p3, [1.0, 1.0, 2.0])  # integrates to 5/4
+    for bad in ([math.nan, 1.0, 1.0], [math.inf, 1.0, 1.0], [math.inf, -math.inf, 1.0], [1e308, 1e308, 1.0]):
+        with pytest.raises(ValueError, match="finite" if not np.isfinite(bad).all() else "integrate"):
+            divergences(p3, bad)
+    # the first failing row of a stack raises its own message
+    good = np.ones(3)
+    for bad, message in (([math.nan, 1.0, 1.0], "finite"), ([-1.0, 4.0, 1.0], "nonnegative"),
+                         ([1.0, 1.0, 2.0], "integrate")):
+        with pytest.raises(ValueError, match=message):
+            transport._divergences(p3, np.array([good, bad, [1.0, 1.0, 2.0], [-1.0, 1.0, 1.0]]))
+
+
+def _grid200():
+    """The n = 200 grid of the curvature benchmark: a tree metric (a path),
+    whose energy blocks hold more cells than one buffer of numpy's sums."""
+    if not hasattr(_grid200, "space"):
+        _grid200.space = grid_kernel_neumann([(0.0, 1.0)], h=1 / 199, radius=0.02)
+    return _grid200.space
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(PRUNING_KINDS + ("two_block", "grid")), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_divergences_are_the_row_by_row_oracle(kind, seed):
+    # tilts, point masses, the constant density and block indicators (rows
+    # with zeros and several positive entries), shuffled: each row must have
+    # the bits of the row alone, in the stack and through divergences
+    rng = np.random.default_rng(seed)
+    sp = {"grid": _grid200, "two_block": lambda: two_block(0.1)}.get(kind, lambda: pruning_space(kind, rng))()
+    F = [random_density(sp, rng) for _ in range(int(rng.integers(1, 12)))] + [np.ones(sp.n)]
+    F += [b.mask / float(sp.nu @ b.mask) for b in invariant_blocks(sp).blocks]
+    F = np.array([F[k] for k in rng.permutation(len(F))])
+    entropy, fisher = transport._divergences(sp, F)
+    rows = [_oracles.divergences_row(sp, f) for f in F]
+    assert [e.hex() for e in entropy.tolist()] == [e.hex() for e, _ in rows]
+    assert [i.hex() for i in fisher.tolist()] == [i.hex() for _, i in rows]
+    alone = [divergences(sp, f) for f in F]
+    assert [(d.entropy.hex(), d.fisher.hex()) for d in alone] == [(e.hex(), i.hex()) for e, i in rows]
 
 
 def test_divergences_positive_unless_uniform(rng):
@@ -264,8 +302,8 @@ def test_verifiers_solve_each_w1_once(k3, monkeypatch):
         monkeypatch.setattr(mod, "_w1", lambda *a, real=mod._w1: calls.append(1) or real(*a))
     monkeypatch.setattr(transport, "_w1_upper",
                         lambda sp, A, B, real=transport._w1_upper: bounds.append(len(A)) or real(sp, A, B))
-    monkeypatch.setattr(transport, "divergences",
-                        lambda *a, real=transport.divergences: divs.append(1) or real(*a))
+    monkeypatch.setattr(transport, "_divergences",
+                        lambda sp, F, real=transport._divergences: divs.append(len(F)) or real(sp, F))
     assert verify_transport_inequality(k3, "ti_be", trials=20, rng=0) == fresh["ti_be"]
     # the 20 draws hold 16 distinct densities; every one is bounded, in one
     # stacked call, one is solved exactly, and the bounds of the other 15 fall
@@ -277,8 +315,36 @@ def test_verifiers_solve_each_w1_once(k3, monkeypatch):
     assert verify_transport_inequality(k3, "ti_ollivier", trials=20, rng=0) == fresh["ti_ollivier"]
     assert verify_transport_inequality(k3, "te", trials=20, rng=0) == fresh["te"]
     assert (len(calls), bounds) == (1, [16])
-    # each density's divergences are kept in its record with its bound
-    assert len(divs) == 16
+    # each density's divergences are kept in its record with its bound, made
+    # by one stacked call over the 16 distinct densities
+    assert divs == [16]
+
+
+def test_verifier_draws_once_per_integer_seed(k3, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(transport, "random_density",
+                        lambda sp, g, real=transport.random_density: drawn.append(real(sp, g)) or drawn[-1])
+    # a Generator passed twice advances between the calls: the second call
+    # draws the next five densities of the same stream
+    gen = np.random.default_rng(0)
+    for _ in range(2):
+        verify_transport_inequality(k3, "ti_be", trials=5, rng=gen)
+    reference = np.random.default_rng(0)
+    assert len(drawn) == 10
+    assert all(np.array_equal(f, random_density(k3, reference)) for f in drawn)
+    assert any(not np.array_equal(a, b) for a, b in zip(drawn[:5], drawn[5:]))
+    # None draws afresh too; an integer seed draws once per space and trial count
+    drawn.clear()
+    verify_transport_inequality(k3, "ti_be", trials=5)
+    verify_transport_inequality(k3, "ti_be", trials=5)
+    assert len(drawn) == 10
+    drawn.clear()
+    for kind in KINDS:
+        verify_transport_inequality(k3, kind, trials=5, rng=3)
+    assert len(drawn) == 5
+    verify_transport_inequality(k3, "te", trials=6, rng=3)
+    verify_transport_inequality(k3, "te", trials=6, rng=np.int64(4))
+    assert len(drawn) == 17
 
 
 def test_verifier_exposes_failure_on_disconnected_space(two_block):
@@ -480,10 +546,50 @@ def test_stacked_w1_rows_are_their_one_row_stacks(kind, seed):
         mp.setattr(transport, "linprog", lambda *a, real=transport.linprog, **kw:
                    lps.append(1) or real(*a, **kw))
         cost, gap = _w1(sp, *_stacks(cases))
-    assert len(lps) == sum(a.any() and _closed_form(sp, a, b) is None for a, b in cases)
+    assert len(lps) == sum(a.any() and _oracles.closed_form(sp, a, b) is None for a, b in cases)
     alone = [_w1(sp, [a], [b]) for a, b in cases]
     assert [c.hex() for c in cost.tolist()] == [c[0].item().hex() for c, _ in alone]
     assert [g.hex() for g in gap.tolist()] == [g[0].item().hex() for _, g in alone]
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_marginals_are_refused(p3):
+    # a NaN or infinite entry, or a mass that overflows, is refused by every
+    # W1 route without a floating-point warning
+    for bad in ([math.inf, 0.5, 0.5], [math.nan, 0.5, 0.5], [math.inf, -math.inf, 0.5], [1e308, 1e308, 0.0]):
+        for mu, target in ((bad, p3.nu), (p3.nu, bad)):
+            for route in (wasserstein, lambda sp, a, b: _w1(sp, [a], [b]), lambda sp, a, b: _w1_upper(sp, [a], [b])):
+                with pytest.raises(ValueError, match="marginals must be finite"):
+                    route(p3, mu, target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(PRUNING_KINDS + ("tree", "grid")), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_closed_forms_are_the_row_by_row_oracle(kind, seed):
+    # zero rows, point masses both ways and between two points, and pairs of
+    # random marginals or of jump laws (tree rows on a tree metric), shuffled:
+    # each closed-form cost and gap has the bits of the one-pair form, and
+    # the rows left to a solver are the rows it has no closed form for
+    rng = np.random.default_rng(seed)
+    if kind == "tree":
+        sp = random_tree_space(int(rng.integers(2, 20)), rng, self_loops=bool(rng.random() < 0.5))
+    else:
+        sp = _grid200() if kind == "grid" else pruning_space(kind, rng)
+    n = sp.n
+    delta = np.eye(n)[rng.integers(n, size=2)]
+    cases = [(np.zeros(n), np.zeros(n))] * int(rng.integers(0, 3))
+    cases += [_random_marginals(rng, n) for _ in range(int(rng.integers(0, 5)))]
+    cases += [(sp.kernel[i], sp.kernel[j]) for i, j in rng.integers(n, size=(int(rng.integers(0, 5)), 2))]
+    cases += [(delta[0], sp.kernel[rng.integers(n)]), (sp.nu, delta[1]), (delta[0], delta[1])]
+    cases = [cases[k] for k in rng.permutation(len(cases))]
+    A, B, cost, gap, rows = _routed(sp, *_stacks(cases))
+    oracle = _oracles.routed(sp, *_stacks(cases))
+    assert rows.tolist() == oracle[4].tolist()
+    if kind in ("tree", "grid"):
+        assert rows.size == 0
+    assert np.array_equal(A, oracle[0]) and np.array_equal(B, oracle[1])
+    assert [c.hex() for c in cost.tolist()] == [c.hex() for c in oracle[2].tolist()]
+    assert [g.hex() for g in gap.tolist()] == [g.hex() for g in oracle[3].tolist()]
 
 
 def test_w1_dispatch_keeps_the_input_checks(p3):
@@ -615,6 +721,8 @@ def test_w1_upper_checks_each_row(p3):
     # the first failing row raises, with the message of the single-pair check
     for bad, message in ((([1.0, 0, 0], [0.5, 0.2, 0.2]), "mass imbalance: 1.0 vs 0.8999"),
                          (([-0.5, 1.0, 0.5], p3.nu), "nonnegative"),
+                         (([math.nan, 0.5, 0.5], p3.nu), "finite"),
+                         ((p3.nu, [0.5, -math.inf, 0.5]), "finite"),
                          (([1e-13, 0, 0], np.zeros(3)), "mass imbalance: 1e-13 vs 0.0")):
         with pytest.raises(ValueError, match=message) as single:
             _oracles.w1_upper_scalar(p3, *bad)
@@ -625,6 +733,8 @@ def test_w1_upper_checks_each_row(p3):
     for stacked_w1 in (_w1_upper, _w1):
         with pytest.raises(ValueError, match="nonnegative"):  # row 1 is checked before row 2
             stacked_w1(p3, *_stacks([good, ([-0.5, 1.0, 0.5], p3.nu), ([1.0, 0, 0], [0.5, 0.2, 0.2])]))
+        with pytest.raises(ValueError, match="imbalance"):
+            stacked_w1(p3, *_stacks([good, ([1.0, 0, 0], [0.5, 0.2, 0.2]), ([math.inf, 0.5, 0.5], p3.nu)]))
         with pytest.raises(ValueError, match="stacks"):  # one pair per row, in two stacks of one shape
             stacked_w1(p3, p3.nu, p3.kernel[0])
         with pytest.raises(ValueError, match="stacks"):
