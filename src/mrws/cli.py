@@ -26,7 +26,7 @@ import numpy as np
 import orjson
 
 from . import __version__, builders, connectivity, curvature, geometry, spectral, transport
-from .core import (HypothesisError, ScalarField, StructuralError, space_from_json,
+from .core import (HypothesisError, ScalarField, StructuralError, _float_array, space_from_json,
                    space_to_json, validate_space)
 from .heat import heat_trajectory
 
@@ -44,24 +44,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+_FLOAT17 = "{:.17g}".format
+
+
 def _dumps(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits,
+    NaN and infinities as null. A list of Python floats is rendered in one
+    join, and falls back to one value at a time only when it holds a
+    non-finite float, whose text is the only one with an n in it."""
     def render(o):
-        if isinstance(o, bool) or o is None or isinstance(o, (int, str)):
-            return json.dumps(o)
         if isinstance(o, float):
-            if math.isnan(o) or math.isinf(o):
-                return json.dumps(None)
-            return format(o, ".17g")
+            return _FLOAT17(o) if math.isfinite(o) else "null"
+        if isinstance(o, (list, tuple)):
+            if set(map(type, o)) == {float}:
+                text = ",".join(map(_FLOAT17, o))
+                if "n" not in text:
+                    return "[" + text + "]"
+            return "[" + ",".join(map(render, o)) + "]"
+        if o is None or isinstance(o, (bool, str)):
+            return json.dumps(o)
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, dict):
+            items = sorted(o.items(), key=lambda kv: str(kv[0]))
+            return "{" + ",".join(json.dumps(str(k)) + ":" + render(v) for k, v in items) + "}"
         if isinstance(o, (np.floating, np.integer, np.bool_)):
             return render(o.item())
         if isinstance(o, np.ndarray):
             return render(o.tolist())
-        if isinstance(o, (list, tuple)):
-            return "[" + ",".join(render(v) for v in o) + "]"
-        if isinstance(o, dict):
-            items = sorted(o.items(), key=lambda kv: str(kv[0]))
-            return "{" + ",".join(json.dumps(str(k)) + ":" + render(v) for k, v in items) + "}"
         raise TypeError(f"cannot serialize {type(o)}")
     return render(obj)
 
@@ -110,7 +120,7 @@ def _load_field(space, path) -> ScalarField:
     obj, _ = _read_json(path)
     if not isinstance(obj, dict) or "values" not in obj:
         raise StructuralError("field JSON must be an object with a 'values' array")
-    return ScalarField(space, np.asarray(obj["values"], dtype=float))
+    return ScalarField(space, _float_array(obj["values"], "values"))
 
 
 def _parse_index_set(space, text):

@@ -14,9 +14,12 @@ stacked passes, kept as the bit-for-bit reference. ``transport_lp``
 is scipy's HiGHS solver, the reference for the library's own simplex,
 ``tree_support_mst`` finds trees with scipy's graph routines, and
 ``invariant_blocks_scc`` takes the closed classes from scipy's strong
-components.
+components. ``dumps_chain`` is the command line's JSON renderer as it was
+before its one-join float lists, and ``float_array_numpy`` the input
+conversion before the struct packing, both byte-for-byte references.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -505,3 +508,32 @@ def point_forms(space):
         B[x] = C.T @ (0.5 * P[x, :, None] * C)
         M2[x] = C.T @ _gamma2_matrix(P, P2, np.array([x]), np.arange(n)[None], np.inf)[0] @ C
     return PointQuadraticForms(B, M2, P - np.eye(n))
+
+
+def dumps_chain(obj) -> str:
+    """Deterministic JSON, one value at a time through an isinstance chain:
+    sorted keys, floats at 17 significant digits, NaN and infinities as null."""
+    def render(o):
+        if isinstance(o, bool) or o is None or isinstance(o, (int, str)):
+            return json.dumps(o)
+        if isinstance(o, float):
+            if math.isnan(o) or math.isinf(o):
+                return json.dumps(None)
+            return format(o, ".17g")
+        if isinstance(o, (np.floating, np.integer, np.bool_)):
+            return render(o.item())
+        if isinstance(o, np.ndarray):
+            return render(o.tolist())
+        if isinstance(o, (list, tuple)):
+            return "[" + ",".join(render(v) for v in o) + "]"
+        if isinstance(o, dict):
+            items = sorted(o.items(), key=lambda kv: str(kv[0]))
+            return "{" + ",".join(json.dumps(str(k)) + ":" + render(v) for k, v in items) + "}"
+        raise TypeError(f"cannot serialize {type(o)}")
+    return render(obj)
+
+
+def float_array_numpy(rows, name):
+    """The float64 array of a list of numbers, or of rows of them, by numpy's
+    conversion of nested lists."""
+    return np.array(rows, dtype=float)

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mrws import HypothesisError, Space, space_from_json, space_to_json
-from mrws import builders, cli, curvature, geometry, transport
+from mrws import builders, cli, core, curvature, geometry, transport
 from mrws.builders import (cycle, grid_kernel_neumann, k3 as make_k3, lazy_cycle, p3 as make_p3,
                            random_reversible_space, two_block)
 from mrws.cli import main
@@ -417,25 +417,63 @@ def _analyze_inputs(tmp_path):
     return [write_space(tmp_path, sp, f"analyze{k}.json") for k, sp in enumerate(spaces)]
 
 
-def test_stacked_transport_prints_the_row_by_row_bytes(tmp_path, capsys, monkeypatch):
-    # analyze on those spaces, and the edge curvatures of an n = 200 grid
-    # (594 pairs with the tree closed form), print the same bytes with the
-    # stacked closed forms and divergences as with the row-by-row forms
-    grid = grid_kernel_neumann([(0.0, 1.0)], h=1 / 199, radius=0.02)
+def _guard_runs(tmp_path):
+    """analyze on the benchmark's analyze spaces, and on an n = 200 grid
+    (594 edges with the tree closed form) validate, spectral, cheeger and the
+    edge curvatures, then heat on it by each method (rk4 both stepped and
+    powered)."""
+    grid = write_space(tmp_path, grid_kernel_neumann([(0.0, 1.0)], h=1 / 199, radius=0.02), "grid.json")
+    field = write_field(tmp_path, np.random.default_rng(5).random(200))
     runs = [["analyze", path] for path in _analyze_inputs(tmp_path)]
-    runs.append(["curvature", write_space(tmp_path, grid, "grid.json"), "--ollivier", "edges"])
+    runs += [["validate", grid], ["spectral", grid], ["cheeger", grid], ["curvature", grid, "--ollivier", "edges"]]
+    runs += [["heat", grid, "--init", field, "--method", method, "--grid", grid_times]
+             for method, grid_times in (("series", "0.5,8,760"), ("spectral", "0.5,8,760"), ("rk4", "0.01,4,32"))]
+    return runs
 
-    def stdout():
-        out = []
-        for argv in runs:
-            assert main(argv) == 0
-            out.append(capsys.readouterr().out)
-        return out
 
-    shipped = stdout()
+def _stdout(capsys, runs):
+    out = []
+    for argv in runs:
+        assert main(argv) == 0, argv
+        out.append(capsys.readouterr().out)
+    return out
+
+
+def test_stacked_transport_prints_the_row_by_row_bytes(tmp_path, capsys, monkeypatch):
+    # those runs print the same bytes with the stacked closed forms and
+    # divergences as with the row-by-row forms
+    runs = _guard_runs(tmp_path)
+    shipped = _stdout(capsys, runs)
     monkeypatch.setattr(transport, "_routed", _oracles.routed)
     monkeypatch.setattr(transport, "_divergences", _oracles.divergences_rows)
-    assert stdout() == shipped
+    assert _stdout(capsys, runs) == shipped
+
+
+def test_struct_reading_and_joined_rendering_print_the_numpy_bytes(tmp_path, capsys, monkeypatch):
+    # and the same bytes with the inputs read by numpy's conversion of nested
+    # lists and the output rendered one value at a time
+    runs = _guard_runs(tmp_path)
+    shipped = _stdout(capsys, runs)
+    monkeypatch.setattr(core, "_float_array", _oracles.float_array_numpy)
+    monkeypatch.setattr(cli, "_float_array", _oracles.float_array_numpy)
+    monkeypatch.setattr(cli, "_dumps", _oracles.dumps_chain)
+    assert _stdout(capsys, runs) == shipped
+
+
+_leaves = st.one_of(
+    st.floats(), st.integers(-2 ** 200, 2 ** 200), st.booleans(), st.none(), st.text(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, float("nan"), float("inf"), -float("inf")]),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_), st.lists(st.floats(), max_size=6).map(np.array),
+    st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=3).map(np.array))
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.recursive(_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple), st.lists(st.floats(), max_size=8),
+    st.dictionaries(st.text() | st.integers(-5, 5) | st.booleans(), inner, max_size=4)), max_leaves=30))
+def test_joined_rendering_is_the_chain_renderers_bytes(doc):
+    assert cli._dumps(doc) == _oracles.dumps_chain(doc)
 
 
 def test_analyze_ratios_are_the_standalone_verifiers(tmp_path, capsys):
@@ -652,3 +690,48 @@ def test_edge_field_documents_read_as_json_reads_them(tmp_path, capsys, monkeypa
     _json_only(monkeypatch)
     assert got == _outcome(capsys, argv)
     assert got[0] == (0 if name == "duplicate keys" else 1)
+
+
+MALFORMED = ("null", "numeric string", "nested list", "ragged row", "[]", "10**400")
+
+
+def _malformed(rows, name):
+    """A copy of rows, a list of numbers or of rows of them, with one entry
+    malformed as name says: a 1-D list becomes ragged as two rows."""
+    if name == "[]":
+        return []
+    rows = json.loads(json.dumps(rows))
+    row = rows[-1] if isinstance(rows[-1], list) else rows
+    if name == "ragged row":
+        return rows[:-1] + [row[:-1]] if row is not rows else [rows, rows[:-1]]
+    row[-1] = {"null": None, "numeric string": "1.0", "nested list": [row[-1]], "10**400": 10 ** 400}[name]
+    return rows
+
+
+def _refusal(field):
+    return f"mrws: structural error: {field} must be a non-empty list of numbers, or of equal-length lists of numbers\n"
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+@pytest.mark.parametrize("field", ["kernel", "metric.matrix", "measure"])
+def test_malformed_space_entries_are_structural(tmp_path, capsys, field, name):
+    # each used to read as NaN, as a number or as an uncaught OverflowError, or
+    # to fail later under another message; 10**400 is refused by orjson and read
+    # by json as an integer
+    obj = space_to_json(make_p3())
+    spec = obj["metric"] if field == "metric.matrix" else obj
+    key = field.split(".")[-1]
+    spec[key] = _malformed(spec[key], name)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(obj))
+    field_path = write_field(tmp_path, [1.0, 0.0, 0.0])
+    for argv in (["validate", str(path)], ["heat", str(path), "--init", field_path]):
+        assert _outcome(capsys, argv) == (1, "", _refusal(field)), argv
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_field_entries_are_structural(tmp_path, capsys, name):
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"values": _malformed([1.0, 0.0, 0.0], name)}))
+    argv = ["heat", write_space(tmp_path, make_p3()), "--init", str(field), "--t", "0.5"]
+    assert _outcome(capsys, argv) == (1, "", _refusal("values"))

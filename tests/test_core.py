@@ -17,7 +17,8 @@ from mrws import (
     space_to_json,
     validate_space,
 )
-from mrws.core import TOL_METRIC, _triangle_residual, shortest_path_metric
+from mrws.connectivity import invariant_blocks
+from mrws.core import TOL_METRIC, _float_array, _triangle_residual, shortest_path_metric
 from mrws.builders import (cycle, disjoint_union, grid_kernel_neumann, p3 as make_p3, random_reversible_space,
                            two_block, two_block_halves)
 
@@ -282,6 +283,29 @@ def test_restrictions_of_random_spaces_validate(rng):
         assert validate_space(restrict_space(sp, mask)).ok
 
 
+def test_invariant_blocks_restrict_to_their_own_kernel():
+    # no jump leaves a block, so its escape is exactly 0 and the restriction
+    # keeps the kernel's bits; with the escape taken as 1 minus the row sum, 100
+    # of these 264 blocks got a diagonal entry of -2.2e-16 and failed validation
+    blocks = 0
+    for s in range(200):
+        sp = random_reversible_space(14, np.random.default_rng(s), density=0.25, connected=False)
+        for block in invariant_blocks(sp).blocks:
+            restr = restrict_space(sp, block)
+            np.testing.assert_array_equal(restr.kernel, sp.kernel[np.ix_(block.indices, block.indices)])
+            assert validate_space(restr).ok, (s, block.indices)
+            blocks += 1
+    assert blocks == 264
+
+
+def test_k3_twice_restricts_to_k3(k3):
+    sp = disjoint_union(k3, k3)
+    for block in invariant_blocks(sp).blocks:
+        restr = restrict_space(sp, block)
+        for got, want in ((restr.kernel, k3.kernel), (restr.metric, k3.metric), (restr.measure, k3.measure)):
+            assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # generator and serialization
 
@@ -329,6 +353,38 @@ def test_json_graph_metric_reconstructed(p3):
     obj["metric"] = {"type": "graph_shortest_path"}
     sp = space_from_json(obj)
     np.testing.assert_array_equal(sp.metric, p3.metric)
+
+
+_numbers = st.floats() | st.integers(-2 ** 1023, 2 ** 1023) | st.booleans()
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_numbers, min_size=1, max_size=8) | st.integers(0, 5).flatmap(
+    lambda m: st.lists(st.lists(_numbers, min_size=m, max_size=m), min_size=1, max_size=5)))
+@example(rows=[[]])
+@example(rows=[[-0.0, 5e-324], [float("nan"), -float("inf")]])
+def test_float_array_is_numpys_conversion(rows):
+    # every input the struct packing accepts is read with numpy's bits: floats
+    # with their sign of zero, NaN, infinities and subnormals, ints correctly
+    # rounded up to 2^1023, bools as 0 and 1
+    got, want = _float_array(rows, "x"), np.array(rows, dtype=float)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [None, 1.0, [], [None], ["1.0"], [[[0.5]]], [1.0, [0.5]], [[1.0], 0.5],
+                                  [[1.0, 0.0], [1.0]], [[1.0], [1.0, 0.0]], [[1.0], {}], [10 ** 400],
+                                  [[1.0, "a"]], [[1.0, None]]])
+def test_float_array_refuses_what_is_not_a_number(rows):
+    with pytest.raises(StructuralError, match="^x must be a non-empty list"):
+        _float_array(rows, "x")
+
+
+def test_space_without_an_explicit_matrix_is_structural(p3):
+    obj = space_to_json(p3)
+    del obj["metric"]["matrix"]
+    with pytest.raises(StructuralError, match="metric.matrix"):
+        space_from_json(obj)
 
 
 def _dense_route_metric(kernel):

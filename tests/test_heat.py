@@ -127,17 +127,29 @@ def test_non_finite_initial_field_rejected(p3, method, bad):
             heat_evolve(p3, [bad, 0.0, 0.0], 2.0, method=method)
 
 
-def test_rk4_matches_stepwise_oracle(rng, two_block, monkeypatch):
-    spaces = (random_spaces(6, rng) + random_spaces(4, rng, connected=False)
-              + [two_block, grid_kernel_neumann([(0.0, 1.0)], h=1 / 79, radius=0.05)])
+def _record_rk4_operands(monkeypatch):
+    """The set that collects 1 when rk4 steps a field and 2 when it builds
+    the step matrix R to power it."""
     operands = set()
-    increment = heat._rk4_increment
+    increment, step_matrix = heat._rk4_increment, heat._rk4_step_matrix
 
-    def recording(P, h, X):
+    def stepping(P, h, X):
         operands.add(X.ndim)
         return increment(P, h, X)
 
-    monkeypatch.setattr(heat, "_rk4_increment", recording)
+    def building(P, h):
+        operands.add(2)
+        return step_matrix(P, h)
+
+    monkeypatch.setattr(heat, "_rk4_increment", stepping)
+    monkeypatch.setattr(heat, "_rk4_step_matrix", building)
+    return operands
+
+
+def test_rk4_matches_stepwise_oracle(rng, two_block, monkeypatch):
+    spaces = (random_spaces(6, rng) + random_spaces(4, rng, connected=False)
+              + [two_block, grid_kernel_neumann([(0.0, 1.0)], h=1 / 79, radius=0.05)])
+    operands = _record_rk4_operands(monkeypatch)
     for sp in spaces:
         u0 = rng.standard_normal(sp.n) * rng.choice([1.0, 100.0])
         scale = max(1.0, float(np.abs(u0).max()))
@@ -276,14 +288,7 @@ PER_TIME = {"series": heat_series_per_time, "rk4": heat_rk4_per_time}
 def test_trajectory_matches_per_time_oracle(rng, monkeypatch, method, times):
     sp = grid_kernel_neumann([(0.0, 1.0)], h=1 / 79, radius=0.05)  # n = 80
     u0 = rng.standard_normal(sp.n)
-    operands = set()
-    increment = heat._rk4_increment
-
-    def recording(P, h, X):
-        operands.add(X.ndim)
-        return increment(P, h, X)
-
-    monkeypatch.setattr(heat, "_rk4_increment", recording)
+    operands = _record_rk4_operands(monkeypatch)
     traj = heat_trajectory(sp, u0, times, method=method)
     for t, state in zip(traj.times, traj.states):
         np.testing.assert_array_equal(state.values, PER_TIME[method](sp.kernel, u0, t))
@@ -301,6 +306,16 @@ def test_trajectory_matches_per_time_oracle_property(method, times, seed, n, den
         np.testing.assert_array_equal(state.values, PER_TIME[method](sp.kernel, u0, t))
 
 
+def test_rk4_step_matrix_is_the_increment_of_the_identity(rng, two_block):
+    # P I is P bit for bit on a finite kernel, so the build that skips that
+    # product is the increment of the identity, to the bit
+    spaces = random_spaces(6, rng) + [two_block, grid_kernel_neumann([(0.0, 1.0)], h=1 / 79, radius=0.05)]
+    for sp in spaces:
+        for h in (0.005, 0.001, 1 / 3):
+            want = heat._rk4_increment(sp.kernel, h, np.eye(sp.n))
+            assert heat._rk4_step_matrix(sp.kernel, h).tobytes() == want.tobytes()
+
+
 def test_rk4_grid_shares_one_step_matrix(rng, monkeypatch):
     # grid-heat's rk4 grid 4,32 on its n = 700 space: both times take h = 0.005
     # and are powered, so one R serves 800 and 6400 steps, with 12 squarings
@@ -314,16 +329,13 @@ def test_rk4_grid_shares_one_step_matrix(rng, monkeypatch):
                 squarings.append(1)
             return super().__matmul__(other)
 
-    increment = heat._rk4_increment
+    step_matrix = heat._rk4_step_matrix
 
-    def recording(P, h, X):
-        out = increment(P, h, X)
-        if X.ndim == 2:
-            builds.append(h)
-            return out.view(Counted)
-        return out
+    def recording(P, h):
+        builds.append(h)
+        return step_matrix(P, h).view(Counted)
 
-    monkeypatch.setattr(heat, "_rk4_increment", recording)
+    monkeypatch.setattr(heat, "_rk4_step_matrix", recording)
     heat_trajectory(sp, rng.standard_normal(sp.n), [4.0, 32.0], method="rk4")
     assert builds == [0.005]
     assert len(squarings) == 12
